@@ -2,17 +2,23 @@
 binomial click model.
 
 All probabilities that can underflow (binomial tails with per-signal click
-probabilities down to ~1e-11 over ~1e6 signals) are evaluated in log space,
-with a Poisson-limit evaluation when m*p < 1e-3 and p < 1e-6.
+probabilities down to ~1e-11 over ~1e6 signals) are returned in log space.
+The tails come from scipy's compiled kernels, called directly: the Boost
+binomial ufuncs ``_binom_sf``/``_binom_cdf`` (the ones ``scipy.stats.binom``
+calls), or ``pdtrc``/``pdtr`` in the Poisson limit m*p < 1e-3, p < 1e-6.
+The values are bit-identical to ``scipy.stats`` ``logsf``/``logcdf``
+without its per-call argument handling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
+from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
 from .codes import binary_entropy
 
@@ -200,6 +206,12 @@ def _use_poisson(m: int, p: float) -> bool:
     return m * p < _POISSON_MEAN_CUT and p < _POISSON_P_CUT
 
 
+def _log_tail(prob: float) -> float:
+    # numpy's log, as in scipy.stats: on AVX-512 hardware it differs from
+    # math.log in the last bit for about 0.6 % of arguments
+    return float(np.log(prob)) if prob != 0.0 else -math.inf
+
+
 def log_binom_sf(t: int, m: int, p: float) -> float:
     """log P(Bin(m, p) >= t), Poisson-limit evaluation in the deep tail."""
     if t <= 0:
@@ -209,8 +221,8 @@ def log_binom_sf(t: int, m: int, p: float) -> float:
     if p == 0.0:
         return -math.inf
     if _use_poisson(m, p):
-        return float(stats.poisson.logsf(t - 1, m * p))
-    return float(stats.binom.logsf(t - 1, m, p))
+        return _log_tail(special.pdtrc(t - 1, m * p))
+    return _log_tail(_binom_sf(t - 1, m, p))
 
 
 def log_binom_cdf(t: int, m: int, p: float) -> float:
@@ -222,35 +234,46 @@ def log_binom_cdf(t: int, m: int, p: float) -> float:
     if p == 0.0:
         return 0.0
     if _use_poisson(m, p):
-        return float(stats.poisson.logcdf(t - 1, m * p))
-    return float(stats.binom.logcdf(t - 1, m, p))
+        return _log_tail(special.pdtr(t - 1, m * p))
+    return _log_tail(_binom_cdf(t - 1, m, p))
 
 
 def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     """Integer threshold minimizing max(P(Bin(m_k,p_E) >= t), P(Bin(m_k,p_D) < t)).
 
     The false-positive tail is nonincreasing and the false-negative tail
-    nondecreasing in t, so the global minimum sits at the crossing, located
-    by bisection over t in [0, m_k + 1].
+    nondecreasing in t, so the global minimum sits next to the crossing:
+    the smallest t where the false-positive tail drops to (or below) the
+    false-negative one.  The search gallops over t = 1, 2, 4, ... and then
+    bisects the last doubling interval, so it costs O(log t) tail pairs for
+    a crossing at t; with few expected clicks (small p_E*m_k) that is a
+    handful, against O(log m_k) for bisecting all of [0, m_k + 1].
     """
     if not 0.0 <= p_E <= p_D <= 1.0:
         raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
 
-    def objective(t: int) -> float:
-        return max(log_binom_sf(t, m_k, p_E), log_binom_cdf(t, m_k, p_D))
+    @functools.cache
+    def tails(t: int) -> tuple[float, float]:
+        return log_binom_sf(t, m_k, p_E), log_binom_cdf(t, m_k, p_D)
 
-    lo, hi = 0, m_k + 1
-    # smallest t where the false-positive tail drops to (or below) the
-    # false-negative tail
-    while lo < hi:
+    def crosses(t: int) -> bool:
+        false_pos, false_neg = tails(t)
+        return false_pos <= false_neg
+
+    # t = 0 never crosses (log sf = 0 > log cdf = -inf) and t = m_k + 1
+    # always does (log sf = -inf <= log cdf = 0)
+    lo, hi = 0, 1
+    while hi <= m_k and not crosses(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, m_k + 1)
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if log_binom_sf(mid, m_k, p_E) <= log_binom_cdf(mid, m_k, p_D):
+        if crosses(mid):
             hi = mid
         else:
-            lo = mid + 1
-    candidates = {max(0, lo - 1), lo, min(m_k + 1, lo + 1)}
-    best = min(candidates, key=lambda t: (objective(t), t))
-    log_err = objective(best)
+            lo = mid
+    candidates = {max(0, hi - 1), hi, min(m_k + 1, hi + 1)}
+    log_err, best = min((max(tails(t)), t) for t in candidates)
     return ThresholdResult(d_th=best, worst_case_error=math.exp(log_err),
                            log_worst_case_error=log_err, p_D=p_D, p_E=p_E)
 

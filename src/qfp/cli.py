@@ -46,6 +46,9 @@ CURVE_PRESETS = {
 
 _N_GRID_POINTS = 11
 
+_POSITIVE = click.IntRange(min=1)
+_SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
+
 
 def _sig9(x: float) -> str:
     return format(float(x), ".9g")
@@ -64,11 +67,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge(config: dict, **flags) -> dict:
-    """Flags override file values; None flags fall back to the file."""
+    """Flags override file values; None flags fall back to the file.  A file
+    value must pass the type of the flag it stands in for, so a value out of
+    range is a usage error whichever way it comes in."""
+    ctx = click.get_current_context()
+    params = {param.name: param for param in ctx.command.params}
     merged = dict(config)
     for key, val in flags.items():
         if val is not None:
             merged[key] = val
+        elif key in merged and key in params:
+            params[key].type.convert(merged[key], params[key], ctx)
     return merged
 
 
@@ -103,7 +112,7 @@ def main() -> None:
               help="Figure parameter regime.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--family", default=None, help="Protocol family (default ring).")
-@click.option("--n-points", type=int, default=None,
+@click.option("--n-points", type=click.IntRange(min=0), default=None,
               help=f"Grid size over [1e3, 1e8] (default {_N_GRID_POINTS}).")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 def curves(preset, config_path, family, n_points, out) -> None:
@@ -145,10 +154,12 @@ def curves(preset, config_path, family, n_points, out) -> None:
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--family", default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--n", type=int, default=None, help="Input size in bits.")
-@click.option("--delta", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
+@click.option("--k", type=_POSITIVE, default=None)
+@click.option("--n", type=_POSITIVE, default=None, help="Input size in bits.")
+@click.option("--delta", type=click.FloatRange(0.0, 0.5, max_open=True),
+              default=None, help="Relative distance; the GV bound needs < 1/2.")
+@click.option("--epsilon", type=click.FloatRange(0.0, 1.0, min_open=True),
+              default=None)
 @click.option("--noise", default=None, help="Noise preset name.")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
 def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
@@ -202,12 +213,13 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--mu", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--k", type=_POSITIVE, default=None)
+@click.option("--m", type=_POSITIVE, default=None)
+@click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True),
+              default=None, help="Relative distance of the worst-case pair.")
+@click.option("--mu", type=click.FloatRange(min=0.0), default=None)
+@click.option("--trials", type=_POSITIVE, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--noise", default=None)
 @click.option("--strategy", type=click.Choice(["even", "consolidated"]),
               default=None)
@@ -220,8 +232,8 @@ def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
     k = p.get("k", 1)
     m = p.get("m", 1000)
     delta = p.get("delta", 0.25)
-    mu = p.get("mu", analysis.solve_amplitude(k, m, delta, 0.01,
-                                              _noise_from(p)))
+    mu = p["mu"] if "mu" in p else analysis.solve_amplitude(
+        k, m, delta, 0.01, _noise_from(p))
     trials = p.get("trials", 10000)
     seed = p.get("seed", 0)
     nm = _noise_from(p)
@@ -362,7 +374,7 @@ def verify(suite, out) -> None:
 
 
 @main.command()
-@click.option("--p", "p_exc", type=float, required=True,
+@click.option("--p", "p_exc", type=click.FloatRange(0.0, 1.0), required=True,
               help="Qubit excitation parameter; <q0|q1> = 1 - 2p.")
 @click.option("--out", type=click.Path(), default=None)
 def usc(p_exc, out) -> None:
@@ -377,12 +389,13 @@ def usc(p_exc, out) -> None:
 
 
 @main.command("ed-estimate")
-@click.option("--dimension", type=int, default=64)
-@click.option("--alpha2", type=float, default=0.5,
+@click.option("--dimension", type=_POSITIVE, default=64)
+@click.option("--alpha2", type=click.FloatRange(min=0.0, min_open=True),
+              default=0.5,
               help="Total mean photon number per run; keep <= 1 so threshold "
                    "clicks track photon counts.")
-@click.option("--trials", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
+@click.option("--trials", type=_POSITIVE, default=10000)
+@click.option("--seed", type=_SEED, default=0)
 @click.option("--variant", type=click.Choice(["real", "complex"]),
               default="real")
 @click.option("--out", type=click.Path(), default=None)

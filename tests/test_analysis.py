@@ -1,5 +1,6 @@
 """Tests for closed-form error probabilities, the binomial click model, and
-the parameter solvers, including an exact big-rational threshold oracle."""
+the parameter solvers, including an exact big-rational threshold oracle and
+the scipy.stats oracle of the binomial tail kernels."""
 
 import math
 from fractions import Fraction
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from qfp.analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel,
-                          ed_estimate, ed_repetition_plan,
+                          ThresholdResult, _use_poisson, ed_estimate, ed_repetition_plan,
                           experimental_click_probs, gray_beats_qary,
                           interp_nd_prob, interp_worst_case_error,
                           log_binom_cdf, log_binom_sf, no_click_prob,
@@ -149,6 +151,137 @@ class TestBinomialTails:
         assert log_binom_sf(0, 10, 0.3) == 0.0
         assert log_binom_sf(11, 10, 0.3) == -math.inf
         assert log_binom_cdf(0, 10, 0.3) == -math.inf
+
+
+_PROBS = st.one_of(st.sampled_from([0.0, 1e-12, 7.3e-11, 1e-6, 0.5, 1.0]),
+                   st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+                   st.floats(0.0, 1.0))
+_SIZES = st.one_of(st.integers(1, 100),
+                   st.floats(0.0, 7.0).map(lambda e: int(10.0 ** e)))
+
+
+def _stats_tail(kind, t, m, p):
+    """The scipy.stats evaluation the compiled kernels replace."""
+    if kind == "sf":
+        if t <= 0:
+            return 0.0
+        if t > m or p == 0.0:
+            return -math.inf
+    else:
+        if t <= 0:
+            return -math.inf
+        if t > m or p == 0.0:
+            return 0.0
+    if _use_poisson(m, p):
+        dist = stats.poisson(m * p)
+    else:
+        dist = stats.binom(m, p)
+    return float(dist.logsf(t - 1) if kind == "sf" else dist.logcdf(t - 1))
+
+
+def _assert_matches_stats(t, m, p):
+    assert log_binom_sf(t, m, p) == _stats_tail("sf", t, m, p)
+    assert log_binom_cdf(t, m, p) == _stats_tail("cdf", t, m, p)
+
+
+class TestTailKernelOracle:
+    """The kernels are scipy's private ufuncs behind scipy.stats; these
+    tests fail if a scipy release moves or changes them."""
+
+    @given(st.data(), _SIZES, _PROBS)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_stats(self, data, m, p):
+        t = data.draw(st.one_of(st.integers(-2, min(m + 2, 60)),
+                                st.integers(-2, m + 2)), label="t")
+        _assert_matches_stats(t, m, p)
+
+    @pytest.mark.parametrize("m,p", [
+        (10**6, 7.3e-11),    # Poisson branch
+        (10**7, 1e-12),      # Poisson branch, largest m
+        (10**6, 1e-3),       # binomial branch, sf underflow
+        (10**4, 0.999),      # cdf underflow at small t
+        (10, 1.0),
+    ])
+    def test_edges_equal_scipy_stats(self, m, p):
+        for t in list(range(-2, 6)) + [200, m // 2, m - 1, m, m + 1, m + 2]:
+            _assert_matches_stats(t, m, p)
+
+    def test_both_branches_and_underflow_covered(self):
+        assert _use_poisson(10**6, 7.3e-11)
+        assert not _use_poisson(10**6, 1e-3)
+        assert log_binom_sf(5000, 10**6, 1e-3) == -math.inf
+        assert _stats_tail("sf", 5000, 10**6, 1e-3) == -math.inf
+        assert log_binom_cdf(3, 10**4, 0.999) == -math.inf
+        assert log_binom_sf(200, 10**6, 7.3e-11) == -math.inf
+
+
+def _bisection_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
+    """The bisection search that preceded the galloping one, kept verbatim
+    as the reference for d_th and the error it reports."""
+    if not 0.0 <= p_E <= p_D <= 1.0:
+        raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
+
+    def objective(t: int) -> float:
+        return max(log_binom_sf(t, m_k, p_E), log_binom_cdf(t, m_k, p_D))
+
+    lo, hi = 0, m_k + 1
+    # smallest t where the false-positive tail drops to (or below) the
+    # false-negative tail
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_binom_sf(mid, m_k, p_E) <= log_binom_cdf(mid, m_k, p_D):
+            hi = mid
+        else:
+            lo = mid + 1
+    candidates = {max(0, lo - 1), lo, min(m_k + 1, lo + 1)}
+    best = min(candidates, key=lambda t: (objective(t), t))
+    log_err = objective(best)
+    return ThresholdResult(d_th=best, worst_case_error=math.exp(log_err),
+                           log_worst_case_error=log_err, p_D=p_D, p_E=p_E)
+
+
+def _same_threshold(m_k, p_D, p_E):
+    got = optimal_threshold(m_k, p_D, p_E)
+    want = _bisection_threshold(m_k, p_D, p_E)
+    assert (got.d_th, got.log_worst_case_error) == \
+        (want.d_th, want.log_worst_case_error)
+    return got
+
+
+class TestGallopingThreshold:
+    @pytest.mark.parametrize("m_k,p_D,p_E", [
+        (10**6, 0.31, 0.3),          # crossing near 3e5
+        (10**6, 0.3001, 0.3),        # tails nearly equal over a wide range
+        (10**5, 0.2, 0.1),
+        (10**6, 2e-3, 1e-3),
+        (999_999, 0.05, 0.02),
+        (10**6, 1e-4, 7.3e-11),      # the Fig. 3 regime: d_th = 8
+        (1000, 0.1, 0.1),            # p_E = p_D
+        (10**6, 7.3e-11, 7.3e-11),
+        (10**6, 0.3, 0.3),
+        (100, 1.0, 0.5),             # p_D = 1
+        (10**6, 1.0, 0.3),
+        (1000, 0.01, 0.0),           # p_E = 0
+        (10**6, 1e-9, 0.0),
+        (1, 0.5, 0.1),
+        (1, 1.0, 1.0),
+    ])
+    def test_matches_bisection(self, m_k, p_D, p_E):
+        _same_threshold(m_k, p_D, p_E)
+
+    @pytest.mark.parametrize("m_k,p_E", [(10, 0.5), (1000, 0.9), (7, 1.0)])
+    def test_no_crossing_up_to_m_k(self, m_k, p_E):
+        # with p_D = 1 the false-negative tail is 0 for every t <= m_k, so
+        # the first crossing is m_k + 1
+        assert all(log_binom_sf(t, m_k, p_E) > log_binom_cdf(t, m_k, 1.0)
+                   for t in range(m_k + 1))
+        got = _same_threshold(m_k, 1.0, p_E)
+        assert got.d_th in (m_k, m_k + 1)
+
+    @given(_SIZES.filter(lambda m: m <= 10**6), _PROBS, _PROBS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_random(self, m_k, p_a, p_b):
+        _same_threshold(m_k, max(p_a, p_b), min(p_a, p_b))
 
 
 class TestOptimalThreshold:

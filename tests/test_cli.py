@@ -2,9 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import qfp
 from qfp.cli import CSV_COLUMNS, main
 
 
@@ -115,3 +120,45 @@ class TestEdEstimate:
         report = json.loads(a.output)
         err = abs(report["mean_estimate"] - report["true_squared_distance"])
         assert err < 4.0 * report["std_error"] + 0.05
+
+
+class TestBadInput:
+    """Out-of-range values stop at the CLI boundary with a usage error
+    (exit code 2) instead of a traceback from deep inside the library."""
+
+    @pytest.mark.parametrize("args,option", [
+        (["simulate", "--seed", "-1"], "--seed"),
+        (["usc", "--p", "2"], "--p"),
+        (["solve", "--delta", "0.6"], "--delta"),
+        (["simulate", "--k", "0"], "--k"),
+        (["simulate", "--trials", "0"], "--trials"),
+        (["simulate", "--delta", "0", "--mu", "1"], "--delta"),
+        (["ed-estimate", "--seed", "-1"], "--seed"),
+    ])
+    def test_flag_out_of_range(self, args, option):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+
+    def test_config_value_out_of_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1, "m": 100, "trials": 0}))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--trials'" in result.output
+
+    def test_flag_overrides_bad_config_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.9}))
+        result = _run(["solve", "--config", str(cfg), "--delta", "0.25"])
+        assert result.exit_code == 0
+
+
+def test_import_leaves_out_scipy_stats():
+    """The tail kernels call scipy.special directly; importing the CLI must
+    not pull in scipy.stats (about 0.5 s and 20 MiB)."""
+    code = "import sys, qfp.cli; print('scipy.stats' in sys.modules)"
+    src = Path(qfp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
