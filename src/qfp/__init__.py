@@ -2,17 +2,17 @@
 error/leakage analysis, a truncated Fock-space verification oracle, and
 Monte Carlo simulation."""
 
-from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel,
-                       ThresholdResult, ed_estimate, ed_repetition_plan,
-                       gray_beats_qary, interp_nd_prob,
+from .analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
+                       NoiseModel, ThresholdResult, ed_estimate,
+                       ed_repetition_plan, gray_beats_qary, interp_nd_prob,
                        interp_worst_case_error, no_click_prob,
                        optimal_measurement_error_lb, optimal_threshold,
                        qary_ring_error, ring_error_exponent,
                        ring_worst_case_error, solve_amplitude,
                        solve_repetition)
-from .codes import (CodeSpec, GrayMap, binary_entropy, gv_binary_length,
-                    gv_binary_rate, gv_qary_length, gv_qary_rate,
-                    lattice_gray, ring_gray, worst_case_pair)
+from .codes import (GrayMap, binary_entropy, gv_binary_length, gv_binary_rate,
+                    gv_qary_length, gv_qary_rate, lattice_gray, ring_gray,
+                    worst_case_pair)
 from .constellations import (Constellation, ProtocolInstance, encode_ed,
                              encode_lattice, encode_ring,
                              interpolation_qubits, interpolation_signal,

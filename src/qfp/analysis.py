@@ -27,6 +27,7 @@ __all__ = [
     "ThresholdResult",
     "InfeasibleError",
     "IDEAL_NOISE",
+    "PAPER_EXP_NOISE",
     "no_click_prob",
     "interp_nd_prob",
     "interp_worst_case_error",
@@ -75,6 +76,8 @@ class NoiseModel:
 
 
 IDEAL_NOISE = NoiseModel()
+# the detectors of the paper's Fig. 3 (the `paper-exp` preset)
+PAPER_EXP_NOISE = NoiseModel(eta=0.3, p_dark=7.3e-11)
 
 
 @dataclass(frozen=True)

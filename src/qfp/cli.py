@@ -1,5 +1,6 @@
 """Command-line surface: leakage curve generation, parameter solving,
-Monte Carlo simulation, and the brute-force verification suites.
+Monte Carlo simulation, and the brute-force verification suites of
+``qfp.checks``.
 
 CSV output uses 9 significant digits and a fixed column schema, so files are
 byte-stable for a fixed configuration.  JSON reports carry full precision.
@@ -16,16 +17,16 @@ import sys
 import click
 import numpy as np
 
-from . import analysis, codes, leakage, montecarlo, oracle
-from .analysis import IDEAL_NOISE, InfeasibleError, NoiseModel
-from .constellations import ProtocolInstance
+from . import analysis, checks, codes, leakage, montecarlo, oracle
+from .analysis import IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError, NoiseModel
+from .constellations import ProtocolInstance, lattice_mu_range
 
 CSV_COLUMNS = ["n", "k", "family", "delta_opt", "mu", "m_k", "error_model",
                "qil_bits", "bound_method", "classical_ref_bits", "infeasible"]
 
 NOISE_PRESETS = {
     "ideal": IDEAL_NOISE,
-    "paper-exp": NoiseModel(eta=0.3, p_dark=7.3e-11),
+    "paper-exp": PAPER_EXP_NOISE,
 }
 
 # (k, error_model) series per figure preset; both at epsilon = 0.01 on a
@@ -111,19 +112,16 @@ def main() -> None:
 @click.option("--preset", type=click.Choice(sorted(CURVE_PRESETS)), default=None,
               help="Figure parameter regime.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--family", default=None, help="Protocol family (default ring).")
 @click.option("--n-points", type=click.IntRange(min=0), default=None,
               help=f"Grid size over [1e3, 1e8] (default {_N_GRID_POINTS}).")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
-def curves(preset, config_path, family, n_points, out) -> None:
-    """Leakage-vs-input-size curves as CSV, one row per (n, k)."""
-    params = _merge(_load_config(config_path), preset=preset, family=family,
-                    n_points=n_points)
+def curves(preset, config_path, n_points, out) -> None:
+    """Ring-family leakage-vs-input-size curves as CSV, one row per (n, k)."""
+    params = _merge(_load_config(config_path), preset=preset, n_points=n_points)
     preset = params.get("preset")
     if preset is None:
         raise click.UsageError("a --preset (or config 'preset') is required")
     spec = CURVE_PRESETS[preset]
-    fam = params.get("family", "ring")
     noise = _noise_from({"noise": spec["noise"], **params})
     epsilon = params.get("epsilon", spec["epsilon"])
     grid = n_grid(params.get("n_points", _N_GRID_POINTS))
@@ -137,14 +135,14 @@ def curves(preset, config_path, family, n_points, out) -> None:
             use_noise = IDEAL_NOISE if error_model == "optimal_lb" else noise
             try:
                 opt = leakage.optimize_delta_for_qil(
-                    fam, k, float(n), epsilon, noise=use_noise,
+                    "ring", k, float(n), epsilon, noise=use_noise,
                     measurement=error_model)
             except InfeasibleError as exc:
-                writer.writerow([_sig9(n), k, fam, "", "", "", error_model,
+                writer.writerow([_sig9(n), k, "ring", "", "", "", error_model,
                                  "", "", _sig9(ref.bits), str(exc)])
                 continue
             writer.writerow([
-                _sig9(n), k, fam, _sig9(opt.delta), _sig9(opt.mu),
+                _sig9(n), k, "ring", _sig9(opt.delta), _sig9(opt.mu),
                 _sig9(opt.m_k), error_model, _sig9(opt.bound.bits),
                 opt.bound.method, _sig9(ref.bits), "",
             ])
@@ -172,6 +170,9 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
     delta = p.get("delta", 0.25)
     epsilon = p.get("epsilon", 0.01)
     nm = _noise_from(p)
+    if fam == "interpolation" and epsilon >= 1.0:
+        raise click.BadParameter("the interpolation family needs epsilon < 1",
+                                 param_hint="'--epsilon'")
 
     report: dict = {"family": fam, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon,
@@ -193,6 +194,7 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
             mu_det = mu * nm.eta
             beta_k = math.sqrt(mu / m_k)
             th = analysis.worst_case_error_with_threshold(k, m, mu_det, delta, nm)
+            mu_range = lattice_mu_range(k, m, mu) if fam == "lattice" else (mu, mu)
             report.update(
                 m=m, m_k=m_k, mu_launched=mu, mu_detected=mu_det,
                 beta_k=beta_k, d_th=th.d_th,
@@ -200,7 +202,7 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
                 qil_majorization_bits=leakage.qil_ring(
                     k, m, beta_k).bits if fam == "ring" else None,
                 qil_typical_subspace_bits=leakage.fannes_audenaert_bound(
-                    n, m_k, mu, mu).bits,
+                    n, m_k, *mu_range).bits,
             )
         else:
             raise click.UsageError(f"unsupported family {fam!r}")
@@ -259,113 +261,17 @@ def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
         sys.exit(1)
 
 
-def _suite_overlap() -> tuple[bool, str]:
-    rng = np.random.default_rng(20240501)
-    worst = 0.0
-    for _ in range(100):
-        ba, bb = (rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2) for _ in range(2))
-        ba *= 2.0 / max(2.0, abs(ba))
-        bb *= 2.0 / max(2.0, abs(bb))
-        got = abs(oracle.fock_overlap(oracle.coherent_fock(ba, 60),
-                                      oracle.coherent_fock(bb, 60)))
-        want = math.exp(-0.5 * abs(ba - bb) ** 2)
-        worst = max(worst, abs(got - want))
-    return worst < 1e-9, f"max overlap deviation {worst:.2e}"
-
-
-def _suite_usc() -> tuple[bool, str]:
-    worst = 0.0
-    # excitation parameter p gives qubit overlap c = 1 - 2p
-    for p in np.linspace(0.025, 0.5, 20):
-        probs_same = oracle.usc_outcome_probs(0, 0, p)
-        probs_diff = oracle.usc_outcome_probs(0, 1, p)
-        c = 1.0 - 2.0 * p
-        worst = max(worst,
-                    abs(probs_same["inconclusive"] - c),
-                    abs(probs_diff["inconclusive"] - c),
-                    abs(probs_diff["different"] - (1.0 - c)),
-                    abs(probs_same["same"] - (1.0 - c)),
-                    abs(probs_same["different"]),
-                    abs(probs_diff["same"]))
-    return worst < 1e-10, f"max USC statistic deviation {worst:.2e}"
-
-
-def _suite_interp() -> tuple[bool, str]:
-    worst = 0.0
-    for k in (1, 2, 3):
-        for p_k in (0.1, 0.5, 1.0):
-            for d in range(k + 1):
-                x = np.zeros(k, dtype=np.uint8)
-                y = x.copy()
-                y[:d] = 1
-                got = oracle.interp_measurement_oracle(x, y, k, p_k)[0]
-                want = analysis.interp_nd_prob(d, k, p_k)
-                worst = max(worst, abs(got - want))
-    return worst < 1e-10, f"max no-detection deviation {worst:.2e}"
-
-
-def _suite_projector() -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
-    violations = 0
-    for _ in range(25):
-        dim = int(rng.integers(2, 5))
-        count = int(rng.integers(2, 5))
-        states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-        states = [s / np.linalg.norm(s) for s in states]
-        c = max(abs(np.vdot(a, b)) for i, a in enumerate(states)
-                for b in states[i + 1:])
-        worst_err = max(
-            oracle.optimal_projector_error(states, states[i], states[j])
-            for i in range(count) for j in range(count) if i != j)
-        if worst_err < analysis.optimal_measurement_error_lb(c) - 1e-12:
-            violations += 1
-    return violations == 0, f"{violations} lower-bound violations"
-
-
-def _suite_gray() -> tuple[bool, str]:
-    for k in range(1, 13):
-        gray = codes.ring_gray(k)
-        labels = gray.label_at
-        size = 1 << k
-        for pos in range(size):
-            a, b = int(labels[pos]), int(labels[(pos + 1) % size])
-            if bin(a ^ b).count("1") != 1:
-                return False, f"ring adjacency broken at k={k}, pos={pos}"
-    return True, "ring adjacency holds for k <= 12"
-
-
-def _suite_qary() -> tuple[bool, str]:
-    violations = 0
-    for k in range(2, 7):
-        hi = (1.0 - 2.0 ** (-k)) / k
-        for delta in np.linspace(1e-4, hi, 200):
-            ok, _ = analysis.gray_beats_qary(k, float(delta))
-            violations += not ok
-    return violations == 0, f"{violations} inequality violations"
-
-
-_SUITES = {
-    "overlap": _suite_overlap,
-    "usc": _suite_usc,
-    "interp": _suite_interp,
-    "projector": _suite_projector,
-    "gray": _suite_gray,
-    "qary": _suite_qary,
-}
-
-
 @main.command()
-@click.option("--suite", type=click.Choice(sorted(_SUITES)), default=None,
+@click.option("--suite", type=click.Choice(sorted(checks.SUITES)), default=None,
               help="Run a single suite instead of all of them.")
 @click.option("--out", type=click.Path(), default=None)
 def verify(suite, out) -> None:
     """Brute-force verification suites; nonzero exit on any failure."""
-    names = [suite] if suite else sorted(_SUITES)
+    names = [suite] if suite else sorted(checks.SUITES)
     results = {}
     failed = False
     for name in names:
-        ok, detail = _SUITES[name]()
-        ok = bool(ok)
+        ok, detail = checks.SUITES[name]()
         results[name] = {"passed": ok, "detail": detail}
         failed |= not ok
     _emit(json.dumps(results, indent=2) + "\n", out)

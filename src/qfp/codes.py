@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "CodeSpec",
     "GrayMap",
     "binary_entropy",
     "gv_binary_length",
@@ -30,31 +29,6 @@ _MAX_GRAY_BITS = 24
 
 
 @dataclass(frozen=True)
-class CodeSpec:
-    """Abstract code parameters: n input bits mapped to m codeletters over a
-    q-letter alphabet with relative minimum distance delta."""
-
-    n: int
-    m: int
-    delta: float
-    q: int = 2
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.q}")
-        if not 0.0 <= self.delta < 1.0 - 1.0 / self.q:
-            raise ValueError(
-                f"delta={self.delta} outside [0, 1 - 1/q) for q={self.q}"
-            )
-        if self.q == 2 and self.delta > 0 and self.m < self.n:
-            raise ValueError("binary code with delta > 0 requires m >= n")
-
-    @property
-    def min_distance(self) -> float:
-        return self.m * self.delta
-
-
-@dataclass(frozen=True)
 class GrayMap:
     """Bijection between k-bit labels and positions on a ring or lattice.
 
@@ -67,13 +41,6 @@ class GrayMap:
     position_of: np.ndarray = field(repr=False)
     label_at: np.ndarray = field(repr=False)
     shape: tuple[int, ...] = ()
-
-    def grid_coords(self, label: int) -> tuple[int, int]:
-        if self.geometry != "lattice":
-            raise ValueError("grid_coords only defined for lattice maps")
-        pos = int(self.position_of[label])
-        cols = self.shape[1]
-        return divmod(pos, cols)
 
 
 def binary_entropy(x: float) -> float:

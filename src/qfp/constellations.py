@@ -52,7 +52,7 @@ class ProtocolInstance:
     family; s and alpha describe the Euclidean-distance encodings.
     """
 
-    family: str  # interpolation | ring | lattice | qary_ring | ed_real | ed_complex
+    family: str  # interpolation | ring | lattice | ed_real | ed_complex
     k: int = 1
     m: int = 0
     mu: float = 0.0
@@ -66,21 +66,6 @@ class ProtocolInstance:
             p = self.k / self.m if self.p_k is None else self.p_k
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"interpolation requires 0 < p_k <= 1, got {p}")
-
-    @property
-    def overlap_param(self) -> float:
-        """Interpolation default: p_k = k/m, so <q0|q1> = 1 - k/m."""
-        return self.k / self.m if self.p_k is None else self.p_k
-
-    @property
-    def signal_count(self) -> int:
-        if self.family in ("ring", "lattice", "interpolation"):
-            return -(-self.m // self.k)
-        if self.family == "ed_real":
-            return self.s
-        if self.family == "ed_complex":
-            return -(-self.s // 2)
-        raise ValueError(f"no signal count for family {self.family!r}")
 
 
 def _pad_codeword(codeword: np.ndarray, k: int) -> np.ndarray:

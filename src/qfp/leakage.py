@@ -162,8 +162,7 @@ def _typical_tail(mu_min: float, mu_max: float, delta: int) -> float:
     upper = math.exp(_log_poisson_tail_bound(mu_max, delta))
     lower = 0.0
     if mu_min - delta > 0.0:
-        s = mu_min - delta
-        lower = math.exp(-mu_min + s * (1.0 + math.log(mu_min) - math.log(s)))
+        lower = math.exp(_log_poisson_tail_bound(mu_min, -delta))
     return lower + upper
 
 
@@ -291,7 +290,6 @@ class DeltaOptimum:
 
 
 _DELTA_LO = 1e-4
-_DELTA_HI = 0.5 - 1e-9
 _GOLDEN_TOL = 1e-6
 _COARSE_GRID_POINTS = 41
 

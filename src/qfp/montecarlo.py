@@ -161,10 +161,8 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     variant = "real" if protocol.family == "ed_real" else "complex"
     amps_u = encode_ed(plan.input_x, protocol.alpha, variant)
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)
-    root_eta = math.sqrt(plan.noise.eta)
     lam_dark = 0.5 * np.abs(amps_u - amps_v) ** 2 * plan.noise.eta
     lam_light = 0.5 * np.abs(amps_u + amps_v) ** 2 * plan.noise.eta
-    del root_eta
     estimates = np.empty(plan.trials)
     for t in range(plan.trials):
         rng = derive_trial_rng(plan.master_seed, t)

@@ -1,30 +1,31 @@
 """Acceptance gate: one test per release criterion, each printing a single
-PASS/FAIL line with the measured quantity.
+PASS/FAIL line with the measured quantity.  Criteria 1, 2, 5, 6 and 11 run
+the brute-force checks of ``qfp.checks`` on their own samples.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines inline.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from qfp.analysis import (IDEAL_NOISE, NoiseModel, gray_beats_qary,
-                          interp_nd_prob, interp_worst_case_error,
-                          optimal_measurement_error_lb, ring_worst_case_error,
-                          solve_amplitude)
+from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, interp_worst_case_error,
+                          ring_worst_case_error, solve_amplitude)
+from qfp.checks import (interp_deviation, overlap_deviation,
+                        projector_violations, qary_violations, usc_deviation)
+from qfp.cli import CURVE_PRESETS, NOISE_PRESETS
 from qfp.codes import gv_binary_length, worst_case_pair
 from qfp.constellations import ProtocolInstance, encode_ed
 from qfp.leakage import (asymptotic_bound, fannes_audenaert_bound,
-                         optimize_delta_for_qil, qil_interpolation, qil_ring)
+                         optimize_delta_for_qil, qil_interpolation)
 from qfp.montecarlo import TrialPlan, signal_click_probs, simulate_ed, \
     simulate_equality
-from qfp.oracle import (coherent_fock, beamsplitter_click_probs, fock_overlap,
-                        interp_measurement_oracle, optimal_projector_error,
+from qfp.oracle import (coherent_fock, beamsplitter_click_probs,
                         qubit_from_coherent, usc_outcome_probs)
 
-EXPERIMENTAL_NOISE = NoiseModel(eta=0.3, p_dark=7.3e-11)
 EPSILON = 0.01
 N_GRID = np.logspace(3, 8, 9)
 SWEEP_GRID = np.logspace(3, 8, 4)
@@ -36,30 +37,27 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 # -- shared curve pipelines ---------------------------------------------------
 
+def _preset_curves(preset: str) -> dict:
+    """Leakage per (k, n) of a ``qfp curves`` preset's series, on N_GRID."""
+    spec = CURVE_PRESETS[preset]
+    noise = NOISE_PRESETS[spec["noise"]]
+    return {k: [optimize_delta_for_qil("ring", k, float(n), spec["epsilon"],
+                                       noise=noise, measurement=model)
+                for n in N_GRID]
+            for k, model in spec["series"]}
+
+
 @pytest.fixture(scope="module")
 def fig2_curves():
-    """Ideal-setting leakage per (k, n); k=4..6 use the optimal-measurement
-    amplitude lower bound."""
-    series = {}
-    for k in (1, 2, 3):
-        series[k] = [optimize_delta_for_qil("ring", k, float(n), EPSILON)
-                     for n in N_GRID]
-    for k in (4, 5, 6):
-        series[k] = [optimize_delta_for_qil("ring", k, float(n), EPSILON,
-                                            measurement="optimal_lb")
-                     for n in N_GRID]
-    return series
+    """Ideal-setting leakage; k=4..6 use the optimal-measurement amplitude
+    lower bound."""
+    return _preset_curves("fig2")
 
 
 @pytest.fixture(scope="module")
 def fig3_curves():
-    """Lossy-detector leakage per (k, n)."""
-    return {
-        k: [optimize_delta_for_qil("ring", k, float(n), EPSILON,
-                                   noise=EXPERIMENTAL_NOISE)
-            for n in N_GRID]
-        for k in (1, 2)
-    }
+    """Lossy-detector leakage."""
+    return _preset_curves("fig3")
 
 
 # -- criteria -----------------------------------------------------------------
@@ -67,12 +65,8 @@ def fig3_curves():
 def test_criterion_01_coherent_overlap():
     start = time.time()
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        pts = rng.uniform(-1, 1, size=4) * 2.0 / math.sqrt(2.0)
-        a, b = complex(pts[0], pts[1]), complex(pts[2], pts[3])
-        got = abs(fock_overlap(coherent_fock(a, 60), coherent_fock(b, 60)))
-        worst = max(worst, abs(got - math.exp(-0.5 * abs(a - b) ** 2)))
+    pts = rng.uniform(-1, 1, size=(100, 4)) * 2.0 / math.sqrt(2.0)
+    worst = overlap_deviation((complex(*p[:2]), complex(*p[2:])) for p in pts)
     elapsed = time.time() - start
     ok = worst < 1e-9 and elapsed < 5.0
     _report(1, ok, f"coherent-overlap max deviation {worst:.2e} "
@@ -82,15 +76,7 @@ def test_criterion_01_coherent_overlap():
 
 def test_criterion_02_interp_measurement_equivalence():
     start = time.time()
-    worst = 0.0
-    for k in (1, 2, 3, 4):
-        for p_k in (0.1, 0.25, 0.5, 0.75, 1.0):
-            for d in range(k + 1):
-                x = np.zeros(k, dtype=np.uint8)
-                y = x.copy()
-                y[:d] = 1
-                got = interp_measurement_oracle(x, y, k, p_k)[0]
-                worst = max(worst, abs(got - interp_nd_prob(d, k, p_k)))
+    worst = interp_deviation((1, 2, 3, 4), (0.1, 0.25, 0.5, 0.75, 1.0))
     elapsed = time.time() - start
     ok = worst < 1e-10 and elapsed < 60.0
     _report(2, ok, f"interpolation-measurement max deviation {worst:.2e} "
@@ -128,13 +114,9 @@ def test_criterion_04_interpolation_error_bound():
 
 
 def test_criterion_05_usc_statistics():
-    worst_inc = 0.0
+    worst_stat = usc_deviation(np.linspace(0.01, 0.5, 25),
+                               ((0, 0), (0, 1), (1, 0), (1, 1)))
     worst_port = 0.0
-    for p in np.linspace(0.01, 0.5, 25):
-        c = 1.0 - 2.0 * p
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            probs = usc_outcome_probs(a, b, p)
-            worst_inc = max(worst_inc, abs(probs["inconclusive"] - c))
     for b0 in np.linspace(0.1, 1.2, 8):
         # dual-port statistics vs the comparison measurement on the reduced
         # qubits with matching overlap
@@ -143,26 +125,14 @@ def test_criterion_05_usc_statistics():
         _, _, p = qubit_from_coherent(b0, -b0)
         diff = usc_outcome_probs(0, 1, p)["different"]
         worst_port = max(worst_port, abs(p_dark - diff))
-    ok = worst_inc < 1e-12 and worst_port < 1e-10
-    _report(5, ok, f"USC inconclusive deviation {worst_inc:.2e} (tol 1e-12), "
+    ok = worst_stat < 1e-12 and worst_port < 1e-10
+    _report(5, ok, f"USC statistics deviation {worst_stat:.2e} (tol 1e-12), "
                    f"port-statistics deviation {worst_port:.2e} (tol 1e-10)")
     assert ok
 
 
 def test_criterion_06_projector_lower_bound():
-    rng = np.random.default_rng(6)
-    violations = 0
-    for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        count = int(rng.integers(2, 5))
-        raw = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-        states = [s / np.linalg.norm(s) for s in raw]
-        c = max(abs(np.vdot(a, b)) for i, a in enumerate(states)
-                for b in states[i + 1:])
-        worst = max(optimal_projector_error(states, states[i], states[j])
-                    for i in range(count) for j in range(count) if i != j)
-        lb = optimal_measurement_error_lb(c)
-        violations += (worst < lb - 1e-12) or (lb < c * c - 1e-12)
+    violations = projector_violations(np.random.default_rng(6), 50, (2, 6))
     ok = violations == 0
     _report(6, ok, f"one-sided projector error vs 2c^2/(1+c^2) >= c^2: "
                    f"{violations} violations in 50 ensembles")
@@ -191,7 +161,7 @@ def test_criterion_08_experimental_hierarchy(fig3_curves):
     sweep_ok = True
     for p_dark in (0.0, 1e-10, 1e-9):
         for eps in (1e-5, 1e-3, 1e-2):
-            noise = NoiseModel(eta=0.3, p_dark=p_dark)
+            noise = dataclasses.replace(PAPER_EXP_NOISE, p_dark=p_dark)
             for n in SWEEP_GRID:
                 b1 = optimize_delta_for_qil("ring", 1, float(n), eps,
                                             noise=noise).bound.bits
@@ -240,7 +210,7 @@ def test_criterion_10_monte_carlo_agreement():
 
     # threshold-model check: scaled-up dark counts over 1e4 signals
     k, m, delta = 2, 2 * 10**4, 0.25
-    noise = NoiseModel(eta=0.3, p_dark=1e-5)
+    noise = dataclasses.replace(PAPER_EXP_NOISE, p_dark=1e-5)
     mu = solve_amplitude(k, m, delta, EPSILON, noise)
     x, y = worst_case_pair(m, delta, k, "even")
     plan = TrialPlan(trials=2 * 10**4, master_seed=77,
@@ -263,12 +233,7 @@ def test_criterion_10_monte_carlo_agreement():
 
 
 def test_criterion_11_gray_vs_qary_sweep():
-    violations = 0
-    for k in range(2, 7):
-        hi = (1.0 - 2.0 ** (-k)) / k
-        for delta in np.linspace(1e-9, hi, 1000):
-            ok_point, _ = gray_beats_qary(k, float(delta))
-            violations += not ok_point
+    violations = qary_violations(range(2, 7), 1e-9, 1000)
     ok = violations == 0
     _report(11, ok, f"binary-vs-2^k-ary signal-count inequality: "
                     f"{violations} violations over 5000 grid points")

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qfp.analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel,
-                          ThresholdResult, _use_poisson, ed_estimate, ed_repetition_plan,
-                          experimental_click_probs, gray_beats_qary,
-                          interp_nd_prob, interp_worst_case_error,
-                          log_binom_cdf, log_binom_sf, no_click_prob,
+from qfp import checks
+from qfp.analysis import (InfeasibleError, NoiseModel, ThresholdResult,
+                          _use_poisson, ed_estimate, ed_repetition_plan,
+                          experimental_click_probs, interp_nd_prob,
+                          interp_worst_case_error, log_binom_cdf,
+                          log_binom_sf, no_click_prob,
                           optimal_measurement_error_lb, optimal_threshold,
                           pair_step_no_click, qary_ring_error,
                           ring_error_exponent, ring_worst_case_error,
@@ -354,11 +355,7 @@ class TestQaryComparison:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_gray_wins_across_grid(self, k):
-        hi = (1.0 - 2.0 ** (-k)) / k
-        for delta in np.linspace(1e-6, hi, 100):
-            ok, margin = gray_beats_qary(k, float(delta))
-            assert ok
-            assert margin >= -1e-12
+        assert checks.qary_violations([k], 1e-6, 100) == 0
 
 
 class TestMeasurementBound:

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 
 import qfp
 from qfp.cli import CSV_COLUMNS, main
+from qfp.constellations import lattice_mu_range
+from qfp.leakage import fannes_audenaert_bound
 
 
 def _run(args, **kwargs):
@@ -65,6 +67,15 @@ class TestSolve:
         report = json.loads(result.output)
         assert report["repetitions"] >= 1
         assert report["worst_case_error"] <= 0.01
+
+    def test_lattice_bound_uses_lattice_mu_range(self):
+        result = _run(["solve", "--family", "lattice", "--k", "3", "--n",
+                       "100000", "--delta", "0.3", "--epsilon", "0.01"])
+        report = json.loads(result.output)
+        mu_min, mu_max = lattice_mu_range(3, report["m"], report["mu_launched"])
+        assert mu_min < mu_max
+        assert report["qil_typical_subspace_bits"] == fannes_audenaert_bound(
+            100000, report["m_k"], mu_min, mu_max).bits
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -134,6 +145,7 @@ class TestBadInput:
         (["simulate", "--trials", "0"], "--trials"),
         (["simulate", "--delta", "0", "--mu", "1"], "--delta"),
         (["ed-estimate", "--seed", "-1"], "--seed"),
+        (["solve", "--family", "interpolation", "--epsilon", "1"], "--epsilon"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)

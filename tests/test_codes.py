@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp.codes import (CodeSpec, binary_entropy, gv_binary_length,
-                       gv_binary_rate, gv_qary_length, gv_qary_rate,
-                       lattice_gray, ring_gray, worst_case_pair)
+from qfp import checks
+from qfp.codes import (binary_entropy, gv_binary_length, gv_binary_rate,
+                       gv_qary_length, gv_qary_rate, lattice_gray, ring_gray,
+                       worst_case_pair)
 
 
 class TestBinaryEntropy:
@@ -62,28 +63,10 @@ class TestGVLength:
             gv_qary_rate(0.8, 4)
 
 
-class TestCodeSpec:
-    def test_min_distance(self):
-        assert CodeSpec(n=10, m=40, delta=0.25).min_distance == 10.0
-
-    def test_rejects_bad_alphabet(self):
-        with pytest.raises(ValueError):
-            CodeSpec(n=10, m=40, delta=0.25, q=1)
-
-    def test_rejects_short_codeword(self):
-        with pytest.raises(ValueError):
-            CodeSpec(n=100, m=50, delta=0.2)
-
-
 class TestRingGray:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_cyclic_adjacency(self, k):
-        gray = ring_gray(k)
-        size = 1 << k
-        labels = gray.label_at
-        for pos in range(size):
-            diff = int(labels[pos]) ^ int(labels[(pos + 1) % size])
-            assert bin(diff).count("1") == 1
+        assert checks.ring_gray_break([k]) is None
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_bijection(self, k):
@@ -117,12 +100,6 @@ class TestLatticeGray:
     def test_shape(self, k):
         gray = lattice_gray(k)
         assert gray.shape == (1 << ((k + 1) // 2), 1 << (k // 2))
-
-    def test_grid_coords_roundtrip(self):
-        gray = lattice_gray(4)
-        for label in range(16):
-            r, c = gray.grid_coords(label)
-            assert gray.label_at[r * gray.shape[1] + c] == label
 
 
 class TestWorstCasePair:

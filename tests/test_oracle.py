@@ -6,22 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from qfp.analysis import interp_nd_prob, optimal_measurement_error_lb
+from qfp import checks
+from qfp.analysis import interp_nd_prob
 from qfp.oracle import (beamsplitter_click_probs, coherent_fock,
-                        cswap_antisym_prob, fock_overlap,
-                        interp_measurement_oracle, optimal_projector_error,
-                        qubit_from_coherent, usc_outcome_probs)
+                        cswap_antisym_prob, interp_measurement_oracle,
+                        optimal_projector_error, qubit_from_coherent,
+                        usc_outcome_probs)
 
 
 class TestCoherentStates:
     def test_overlap_closed_form(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            b = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            got = abs(fock_overlap(coherent_fock(a, 60), coherent_fock(b, 60)))
-            assert got == pytest.approx(math.exp(-0.5 * abs(a - b) ** 2),
-                                        abs=1e-10)
+        pts = np.random.default_rng(11).uniform(-1.5, 1.5, size=(30, 4))
+        pairs = [(complex(*p[:2]), complex(*p[2:])) for p in pts]
+        assert checks.overlap_deviation(pairs) <= 1e-10
 
     def test_normalized(self):
         state = coherent_fock(1.2 + 0.3j)
@@ -74,15 +71,7 @@ class TestQubitReduction:
 class TestUSC:
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.35, 0.5])
     def test_outcome_statistics(self, p):
-        c = 1.0 - 2.0 * p  # qubit overlap
-        same = usc_outcome_probs(0, 0, p)
-        diff = usc_outcome_probs(0, 1, p)
-        assert same["inconclusive"] == pytest.approx(c, abs=1e-12)
-        assert diff["inconclusive"] == pytest.approx(c, abs=1e-12)
-        assert same["same"] == pytest.approx(1.0 - c, abs=1e-12)
-        assert diff["different"] == pytest.approx(1.0 - c, abs=1e-12)
-        assert abs(same["different"]) < 1e-12
-        assert abs(diff["same"]) < 1e-12
+        assert checks.usc_deviation([p], ((0, 0), (0, 1))) <= 1e-12
 
     def test_probabilities_sum_to_one(self):
         for a, b in ((0, 0), (0, 1), (1, 1)):
@@ -112,12 +101,7 @@ class TestInterpOracle:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("p_k", [0.1, 0.5, 1.0])
     def test_matches_closed_form(self, k, p_k):
-        x = np.zeros(k, dtype=np.uint8)
-        for d in range(k + 1):
-            y = x.copy()
-            y[:d] = 1
-            got = interp_measurement_oracle(x, y, k, p_k)[0]
-            assert got == pytest.approx(interp_nd_prob(d, k, p_k), abs=1e-10)
+        assert checks.interp_deviation([k], [p_k]) <= 1e-10
 
     def test_multi_signal_codewords(self):
         k, p_k = 2, 0.4
@@ -145,13 +129,4 @@ class TestOptimalProjector:
 
     def test_worst_pair_meets_lower_bound(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            dim = int(rng.integers(2, 5))
-            count = int(rng.integers(2, 4))
-            raw = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-            states = [s / np.linalg.norm(s) for s in raw]
-            c = max(abs(np.vdot(a, b)) for i, a in enumerate(states)
-                    for b in states[i + 1:])
-            worst = max(optimal_projector_error(states, states[i], states[j])
-                        for i in range(count) for j in range(count) if i != j)
-            assert worst >= optimal_measurement_error_lb(c) - 1e-12
+        assert checks.projector_violations(rng, 20, (2, 5)) == 0
