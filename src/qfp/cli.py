@@ -49,6 +49,14 @@ _N_GRID_POINTS = 11
 
 _POSITIVE = click.IntRange(min=1)
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
+_NOISE = click.Choice(sorted(NOISE_PRESETS))
+
+# config-only keys: noise-model fields overriding the preset's values
+_NOISE_FIELDS = {
+    "eta": click.FloatRange(0.0, 1.0, min_open=True),
+    "p_dark": click.FloatRange(0.0, 1.0, max_open=True),
+    "visibility": click.FloatRange(0.0, 1.0),
+}
 
 
 def _sig9(x: float) -> str:
@@ -67,27 +75,30 @@ def _load_config(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _merge(config: dict, **flags) -> dict:
+def _merge(config: dict, config_only: dict, **flags) -> dict:
     """Flags override file values; None flags fall back to the file.  A file
-    value must pass the type of the flag it stands in for, so a value out of
-    range is a usage error whichever way it comes in."""
+    key must be a flag or config-only key (mapped to its click type) of the
+    command, and its value must pass that type: all else is a usage error."""
     ctx = click.get_current_context()
     params = {param.name: param for param in ctx.command.params}
-    merged = dict(config)
-    for key, val in flags.items():
-        if val is not None:
-            merged[key] = val
-        elif key in merged and key in params:
-            params[key].type.convert(merged[key], params[key], ctx)
-    return merged
+    for key, val in config.items():
+        if key in config_only:
+            try:
+                config_only[key].convert(val, None, ctx)
+            except click.BadParameter as exc:
+                exc.param_hint = f"config key '{key}'"
+                raise
+        elif key not in flags:
+            raise click.UsageError(f"unknown config key {key!r}; this command "
+                                   f"reads {sorted([*flags, *config_only])}")
+        elif flags[key] is None:
+            params[key].type.convert(val, params[key], ctx)
+    return {**config, **{key: val for key, val in flags.items()
+                         if val is not None}}
 
 
 def _noise_from(params: dict) -> NoiseModel:
-    name = params.get("noise", "ideal")
-    if name not in NOISE_PRESETS:
-        raise click.UsageError(
-            f"unknown noise preset {name!r}; choose from {sorted(NOISE_PRESETS)}")
-    base = NOISE_PRESETS[name]
+    base = NOISE_PRESETS[params.get("noise", "ideal")]
     return NoiseModel(
         eta=params.get("eta", base.eta),
         p_dark=params.get("p_dark", base.p_dark),
@@ -117,7 +128,10 @@ def main() -> None:
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 def curves(preset, config_path, n_points, out) -> None:
     """Ring-family leakage-vs-input-size curves as CSV, one row per (n, k)."""
-    params = _merge(_load_config(config_path), preset=preset, n_points=n_points)
+    params = _merge(_load_config(config_path), {
+        **_NOISE_FIELDS, "noise": _NOISE,
+        "epsilon": click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+    }, preset=preset, n_points=n_points)
     preset = params.get("preset")
     if preset is None:
         raise click.UsageError("a --preset (or config 'preset') is required")
@@ -158,12 +172,12 @@ def curves(preset, config_path, n_points, out) -> None:
               default=None, help="Relative distance; the GV bound needs < 1/2.")
 @click.option("--epsilon", type=click.FloatRange(0.0, 1.0, min_open=True),
               default=None)
-@click.option("--noise", default=None, help="Noise preset name.")
+@click.option("--noise", type=_NOISE, default=None, help="Noise preset name.")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
 def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
     """Solve protocol parameters for a target error probability."""
-    p = _merge(_load_config(config_path), family=family, k=k, n=n, delta=delta,
-               epsilon=epsilon, noise=noise)
+    p = _merge(_load_config(config_path), _NOISE_FIELDS, family=family, k=k,
+               n=n, delta=delta, epsilon=epsilon, noise=noise)
     fam = p.get("family", "ring")
     k = p.get("k", 1)
     n = p.get("n", 1000)
@@ -222,15 +236,16 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
 @click.option("--mu", type=click.FloatRange(min=0.0), default=None)
 @click.option("--trials", type=_POSITIVE, default=None)
 @click.option("--seed", type=_SEED, default=None)
-@click.option("--noise", default=None)
+@click.option("--noise", type=_NOISE, default=None)
 @click.option("--strategy", type=click.Choice(["even", "consolidated"]),
               default=None)
 @click.option("--out", type=click.Path(), default=None)
 def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
              out) -> None:
     """Monte Carlo worst-case-pair run versus the closed-form prediction."""
-    p = _merge(_load_config(config_path), k=k, m=m, delta=delta, mu=mu,
-               trials=trials, seed=seed, noise=noise, strategy=strategy)
+    p = _merge(_load_config(config_path), _NOISE_FIELDS, k=k, m=m,
+               delta=delta, mu=mu, trials=trials, seed=seed, noise=noise,
+               strategy=strategy)
     k = p.get("k", 1)
     m = p.get("m", 1000)
     delta = p.get("delta", 0.25)

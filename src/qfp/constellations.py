@@ -45,27 +45,16 @@ class Constellation:
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """One fully parameterized protocol.
+    """One coherent-state protocol of the Monte Carlo layer: mu is the total
+    mean photon number of the ring and lattice families; s and alpha
+    describe the Euclidean-distance encodings."""
 
-    mu is the total mean photon number for coherent families; p_k the qubit
-    overlap parameter and r the repetition number for the interpolation
-    family; s and alpha describe the Euclidean-distance encodings.
-    """
-
-    family: str  # interpolation | ring | lattice | ed_real | ed_complex
+    family: str  # ring | lattice | ed_real | ed_complex
     k: int = 1
     m: int = 0
     mu: float = 0.0
-    p_k: float | None = None
-    r: int = 1
     s: int = 0
     alpha: complex = 0.0
-
-    def __post_init__(self):
-        if self.family == "interpolation":
-            p = self.k / self.m if self.p_k is None else self.p_k
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"interpolation requires 0 < p_k <= 1, got {p}")
 
 
 def _pad_codeword(codeword: np.ndarray, k: int) -> np.ndarray:

@@ -83,9 +83,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _encode(protocol: ProtocolInstance, codeword: np.ndarray) -> np.ndarray:
-    if protocol.family == "ring" or (protocol.family == "interpolation"
-                                     and protocol.k == 1):
-        return encode_ring(codeword, max(protocol.k, 1), protocol.mu)
+    if protocol.family == "ring":
+        return encode_ring(codeword, protocol.k, protocol.mu)
     if protocol.family == "lattice":
         return encode_lattice(codeword, protocol.k, protocol.mu)
     raise ValueError(f"unsupported family {protocol.family!r} for click simulation")

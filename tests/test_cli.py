@@ -159,6 +159,21 @@ class TestBadInput:
         assert result.exit_code == 2
         assert "Invalid value for '--trials'" in result.output
 
+    @pytest.mark.parametrize("args,config,message", [
+        (["curves"], {"preset": "fig2", "family": "lattice", "n_point": 0,
+                      "n_points": 1},
+         "unknown config key 'family'"),
+        (["solve"], {"eta": 2.0}, "Invalid value for config key 'eta'"),
+        (["curves", "--preset", "fig2"], {"epsilon": 1.5},
+         "Invalid value for config key 'epsilon'"),
+    ], ids=["unknown-keys", "eta", "epsilon"])
+    def test_bad_config_file(self, tmp_path, args, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_flag_overrides_bad_config_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.9}))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qfp.analysis import NoiseModel
-from qfp.leakage import (asymptotic_bound, classical_reference,
-                         fannes_audenaert_bound, lambda_interpolation,
-                         lambda_ring, lambda_ring_series, optimize_delta_for_qil,
-                         qil_interpolation, qil_ring, shannon_entropy)
+from qfp.codes import binary_entropy
+from qfp.leakage import (_log2_dim_window, _typical_tail, asymptotic_bound,
+                         classical_reference, fannes_audenaert_bound,
+                         lambda_interpolation, lambda_ring, lambda_ring_series,
+                         optimize_delta_for_qil, qil_interpolation, qil_ring,
+                         shannon_entropy)
 
 
 class TestShannonEntropy:
@@ -65,14 +67,54 @@ class TestMajorizationBounds:
             2.0 * qil_ring(2, 1000, 0.1).bits, rel=1e-12)
 
 
+def _window_bits(n, m_k, mu_min, mu_max, radius, eps):
+    """Typical-subspace bound for one window radius and tail budget eps."""
+    gamma = math.sqrt(2.0 * eps)
+    return (_log2_dim_window(mu_max, mu_min, radius, m_k) + 2.0 * n * gamma
+            + binary_entropy(gamma))
+
+
+def _brute_force_minimum(n, m_k, mu_min, mu_max, max_radius=2000):
+    """(bits, radius) minimized over every radius 1..max_radius whose tail
+    bound is below 1/2, with the tail bound as the budget."""
+    candidates = []
+    for radius in range(1, max_radius + 1):
+        eps = _typical_tail(mu_min, mu_max, radius)
+        if eps < 0.5:
+            candidates.append(
+                (_window_bits(n, m_k, mu_min, mu_max, radius, eps), radius))
+    return min(candidates)
+
+
+def _fixed_budget_bits(n, m_k, mu_min, mu_max, eps):
+    """Bound at a fixed tail budget: the least radius whose tail fits it."""
+    radius = 1
+    while _typical_tail(mu_min, mu_max, radius) > eps:
+        radius += 1
+    return _window_bits(n, m_k, mu_min, mu_max, radius, eps)
+
+
 class TestFannesAudenaert:
-    def test_optimized_no_worse_than_fixed_grid(self):
-        n, m_k, mu = 1e4, 1e4, 8.0
-        best = fannes_audenaert_bound(n, m_k, mu, mu).bits
-        for log_eps in (-10, -7, -5, -3, -1):
-            fixed = fannes_audenaert_bound(n, m_k, mu, mu,
-                                           eps_prime=10.0 ** log_eps).bits
-            assert best <= fixed + 1e-6
+    @pytest.mark.parametrize("n,m_k,mu_min,mu_max", [
+        (1e4, 1e4, 8.0, 8.0),
+        (1e4, 1e4, 0.0, 0.0),                   # vacuum: no tail at all
+        (1e5, 1e5, 500.0, 600.0),               # lower tail active
+        (1e6, 1e6, 1e4, 1e4),                   # hundreds of radii
+        (1e3, 1.0, 1e5, 1e5),                   # best budget just below 1/2
+        # criterion 9 at n = 1e8: ring k = 2 under paper-exp at its
+        # optimal distance
+        (1e8, 2034991724.6037874, 26.511637264483028, 26.511637264483028),
+    ])
+    def test_equals_brute_force_radius_minimum(self, n, m_k, mu_min, mu_max):
+        bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
+        bits, radius = _brute_force_minimum(n, m_k, mu_min, mu_max)
+        assert bound.bits == bits
+        assert bound.subterms["window_radius"] == radius
+        assert bound.subterms["eps_prime"] == _typical_tail(mu_min, mu_max,
+                                                            radius)
+        for eps in (1e-10, 1e-7, 1e-5, 1e-3, 1e-1):
+            assert bound.bits <= _fixed_budget_bits(n, m_k, mu_min, mu_max,
+                                                    eps)
 
     def test_monotone_in_photon_number(self):
         n, m_k = 1e4, 1e4
@@ -81,8 +123,11 @@ class TestFannesAudenaert:
         assert all(a < b for a, b in zip(bits, bits[1:]))
 
     def test_photon_range_ordering_check(self):
-        with pytest.raises(ValueError):
-            fannes_audenaert_bound(1e3, 1e3, 5.0, 2.0)
+        # a NaN or infinite photon number would never end the radius scan
+        for mu_min, mu_max in [(5.0, 2.0), (-1.0, 2.0), (math.nan, math.nan),
+                               (1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                fannes_audenaert_bound(1e3, 1e3, mu_min, mu_max)
 
 
 class TestAsymptoticBound:
