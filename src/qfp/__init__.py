@@ -23,7 +23,7 @@ from .leakage import (DeltaOptimum, LeakageBound, asymptotic_bound,
                       lambda_interpolation, lambda_ring, qil_interpolation,
                       qil_ring, optimize_delta_for_qil, shannon_entropy)
 from .montecarlo import (EdResult, EqualityResult, TrialPlan,
-                         derive_trial_rng, simulate_ed, simulate_equality,
+                         derive_block_rng, simulate_ed, simulate_equality,
                          wilson_interval)
 from .oracle import (TruncatedFockState, beamsplitter_click_probs,
                      coherent_fock, cswap_antisym_prob, fock_overlap,

@@ -91,18 +91,20 @@ class ThresholdResult:
     p_E: float
 
 
-def no_click_prob(beta_a: complex, beta_b: complex, visibility: float = 1.0) -> float:
+def no_click_prob(beta_a: complex | np.ndarray, beta_b: complex | np.ndarray,
+                  visibility: float = 1.0) -> float | np.ndarray:
     """Probability of no dark-port click when interfering |beta_a> with |beta_b>.
 
     At unit visibility this is exp(-|beta_a - beta_b|^2 / 2), the squared-
     distance law of the balanced beamsplitter; reduced visibility scales only
-    the interference term.
+    the interference term.  Amplitude arrays broadcast, one probability per
+    signal pair.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    mu_dark = 0.5 * (abs(beta_a) ** 2 + abs(beta_b) ** 2
+    mu_dark = 0.5 * (np.abs(beta_a) ** 2 + np.abs(beta_b) ** 2
                      - 2.0 * visibility * (np.conj(beta_a) * beta_b).real)
-    return math.exp(-mu_dark)
+    return np.exp(-mu_dark)
 
 
 def interp_nd_prob(d: float, k: int, p_k: float) -> float:
@@ -374,17 +376,19 @@ def optimal_measurement_error_lb(overlap: float) -> float:
 
 
 def ed_estimate(clicks_dark: np.ndarray, clicks_light: np.ndarray,
-                alpha: complex, runs: int = 1) -> float:
+                alpha: complex, runs: int = 1) -> float | np.ndarray:
     """Squared-distance estimate 2 - (N_light - N_dark)/|alpha|^2 from total
     click counts, normalized per run.
 
-    Uses clicks as photon-count proxies, so it is asymptotically unbiased
-    only in the weak-amplitude limit.
+    The totals sum the last axis (the modes): a 1-D pair of click vectors
+    gives one estimate, a (trials, modes) pair one per trial.  Uses
+    clicks as photon-count proxies, so it is asymptotically unbiased only in
+    the weak-amplitude limit.
     """
     if abs(alpha) == 0.0:
         raise ValueError("alpha must be nonzero")
-    n_dark = float(np.sum(clicks_dark)) / runs
-    n_light = float(np.sum(clicks_light)) / runs
+    n_dark = np.sum(clicks_dark, axis=-1) / runs
+    n_light = np.sum(clicks_light, axis=-1) / runs
     return 2.0 - (n_light - n_dark) / abs(alpha) ** 2
 
 

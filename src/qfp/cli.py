@@ -48,6 +48,8 @@ CURVE_PRESETS = {
 _N_GRID_POINTS = 11
 
 _POSITIVE = click.IntRange(min=1)
+# smallest k each Gray-mapped family's constellation is defined for
+_GRAY_K_MIN = {"ring": 1, "lattice": 2}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
 _NOISE = click.Choice(sorted(NOISE_PRESETS))
 
@@ -187,6 +189,10 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
     if fam == "interpolation" and epsilon >= 1.0:
         raise click.BadParameter("the interpolation family needs epsilon < 1",
                                  param_hint="'--epsilon'")
+    if fam in _GRAY_K_MIN and not _GRAY_K_MIN[fam] <= k <= codes.MAX_GRAY_BITS:
+        raise click.BadParameter(
+            f"the {fam} family needs {_GRAY_K_MIN[fam]} <= k <= "
+            f"{codes.MAX_GRAY_BITS}", param_hint="'--k'")
 
     report: dict = {"family": fam, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon,
@@ -229,7 +235,7 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--k", type=_POSITIVE, default=None)
+@click.option("--k", type=click.IntRange(1, codes.MAX_GRAY_BITS), default=None)
 @click.option("--m", type=_POSITIVE, default=None)
 @click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True),
               default=None, help="Relative distance of the worst-case pair.")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_GRAY_BITS",
     "GrayMap",
     "binary_entropy",
     "gv_binary_length",
@@ -25,7 +26,7 @@ __all__ = [
     "worst_case_pair",
 ]
 
-_MAX_GRAY_BITS = 24
+MAX_GRAY_BITS = 24  # widest label the ring and lattice Gray maps cover
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,8 @@ def ring_gray(k: int) -> GrayMap:
     Cyclically adjacent positions (including the wrap-around pair) carry
     labels at Hamming distance one.
     """
-    if not 1 <= k <= _MAX_GRAY_BITS:
-        raise ValueError(f"ring_gray requires 1 <= k <= {_MAX_GRAY_BITS}, got {k}")
+    if not 1 <= k <= MAX_GRAY_BITS:
+        raise ValueError(f"ring_gray requires 1 <= k <= {MAX_GRAY_BITS}, got {k}")
     label_at = _reflected_gray(k)
     position_of = np.empty_like(label_at)
     position_of[label_at] = np.arange(1 << k, dtype=np.int64)
@@ -115,8 +116,8 @@ def lattice_gray(k: int) -> GrayMap:
     The high ceil(k/2) bits of a label index the row, the low floor(k/2)
     bits the column; grid-adjacent labels differ in exactly one bit.
     """
-    if not 2 <= k <= _MAX_GRAY_BITS:
-        raise ValueError(f"lattice_gray requires 2 <= k <= {_MAX_GRAY_BITS}, got {k}")
+    if not 2 <= k <= MAX_GRAY_BITS:
+        raise ValueError(f"lattice_gray requires 2 <= k <= {MAX_GRAY_BITS}, got {k}")
     k_hi = (k + 1) // 2
     k_lo = k // 2
     rows, cols = 1 << k_hi, 1 << k_lo
@@ -147,28 +148,26 @@ def worst_case_pair(m: int, delta: float, k: int,
     y = np.zeros(m, dtype=np.uint8)
     if dist == 0:
         return x, y
-    n_blocks = -(-m // k)
-    flip = np.zeros(m, dtype=bool)
     if strategy == "consolidated":
+        flip = np.zeros(m, dtype=bool)
         flip[:dist] = True
     elif strategy == "even":
-        # round-robin over blocks, respecting the (possibly short) final block
-        block_fill = [0] * n_blocks
-        block_len = [min(k, m - j * k) for j in range(n_blocks)]
-        remaining = dist
-        while remaining > 0:
-            progressed = False
-            for j in range(n_blocks):
-                if remaining == 0:
-                    break
-                if block_fill[j] < block_len[j]:
-                    block_fill[j] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:
-                raise ValueError("distance exceeds codeword length")
-        for j, fill in enumerate(block_fill):
-            flip[j * k: j * k + fill] = True
+        # round-robin over blocks: every block open to the water level
+        # fills to it, and the first `extra` open blocks take one flip more.
+        # Only the final block can be short; it stays open while the
+        # distance fits in n_blocks of its length.
+        n_blocks = -(-m // k)
+        short = m - (n_blocks - 1) * k
+        if dist <= n_blocks * short:
+            level, extra = divmod(dist, n_blocks)
+            fill = np.full(n_blocks, level)
+        else:
+            level, extra = divmod(dist - short, n_blocks - 1)
+            fill = np.full(n_blocks, level)
+            fill[-1] = short
+        fill[:extra] += 1
+        pos = np.arange(m)
+        flip = pos % k < fill[pos // k]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     y[flip] ^= 1

@@ -1,8 +1,12 @@
 """Stochastic simulation of protocol runs under the noise model.
 
-Every trial draws from its own counter-derived random stream, so results are
-a pure function of (master_seed, trial_index) and are identical regardless
-of how trials are chunked across workers.
+Trials run in blocks.  Block b draws all of its trials' randomness as one
+array from its own counter-based stream, Philox keyed by the master seed and
+advanced to block b (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  A block holds ``block_rows(width)`` trials, fixed by a
+constant element budget and the number of draws per trial, so results are a
+pure function of the plan and are identical however the blocks are split
+across workers.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ __all__ = [
     "TrialPlan",
     "EqualityResult",
     "EdResult",
-    "derive_trial_rng",
+    "block_rows",
+    "derive_block_rng",
     "signal_click_probs",
     "simulate_equality",
     "simulate_ed",
     "wilson_interval",
 ]
 
-_TRIAL_STRIDE = 1 << 40  # Philox counter blocks reserved per trial
+_BLOCK_STRIDE = 1 << 40  # Philox counter steps reserved per block of trials
+_BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,25 @@ class EdResult:
     runs: int
 
 
-def derive_trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+def block_rows(width: int) -> int:
+    """Trials per block when each trial draws ``width`` values: as many as
+    fit in the element budget, and at least one."""
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
+def derive_block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     """Counter-based stream: Philox keyed by the master seed, advanced to a
-    per-trial block.  Depends only on (master_seed, trial_index)."""
+    per-block offset.  Depends only on (master_seed, block_index)."""
     bg = np.random.Philox(key=master_seed)
-    bg.advance(trial_index * _TRIAL_STRIDE)
+    bg.advance(block_index * _BLOCK_STRIDE)
     return np.random.Generator(bg)
+
+
+def _blocks(trials: int, rows: int):
+    """(block index, first trial, trial count) of each block of ``rows``
+    trials; only the last block may be short."""
+    for b, start in enumerate(range(0, trials, rows)):
+        yield b, start, min(rows, trials - start)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -96,13 +115,10 @@ def signal_click_probs(plan: TrialPlan) -> np.ndarray:
     Amplitudes in the plan are launched values; the channel applies
     sqrt(eta) before the beamsplitter, and dark counts add independently.
     """
-    amps_x = _encode(plan.protocol, plan.input_x)
-    amps_y = _encode(plan.protocol, plan.input_y)
     root_eta = math.sqrt(plan.noise.eta)
-    no_click = np.array([
-        no_click_prob(a * root_eta, b * root_eta, plan.noise.visibility)
-        for a, b in zip(amps_x, amps_y)
-    ])
+    no_click = no_click_prob(_encode(plan.protocol, plan.input_x) * root_eta,
+                             _encode(plan.protocol, plan.input_y) * root_eta,
+                             plan.noise.visibility)
     return 1.0 - no_click * (1.0 - plan.noise.p_dark)
 
 
@@ -133,12 +149,10 @@ def simulate_equality(plan: TrialPlan) -> EqualityResult:
     # are needed
     uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
     errors = 0
-    for t in range(plan.trials):
-        rng = derive_trial_rng(plan.master_seed, t)
-        clicks = int(np.sum(rng.binomial(counts, uniq)))
-        not_equal = clicks >= d_th
-        if not_equal == inputs_equal:
-            errors += 1
+    for b, _, rows in _blocks(plan.trials, block_rows(uniq.size)):
+        rng = derive_block_rng(plan.master_seed, b)
+        clicks = rng.binomial(counts, uniq, size=(rows, uniq.size)).sum(axis=1)
+        errors += int(np.count_nonzero((clicks >= d_th) == inputs_equal))
     return EqualityResult(
         empirical_error=errors / plan.trials,
         confidence_interval=wilson_interval(errors, plan.trials),
@@ -152,7 +166,10 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
 
     Photon counts at each output port are Poisson (coherent light on
     threshold detectors saturates at one click; clicks are used as count
-    proxies per the weak-amplitude analysis).
+    proxies per the weak-amplitude analysis).  A mode of mean lam clicks
+    with probability 1 - e^-lam (1 - p_dark): a photon arrives or a dark
+    count fires.  Only click totals enter the estimator, so each click is
+    one uniform compared with that probability, for both ports at once.
     """
     protocol = plan.protocol
     if protocol.family not in ("ed_real", "ed_complex"):
@@ -160,17 +177,16 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     variant = "real" if protocol.family == "ed_real" else "complex"
     amps_u = encode_ed(plan.input_x, protocol.alpha, variant)
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)
-    lam_dark = 0.5 * np.abs(amps_u - amps_v) ** 2 * plan.noise.eta
-    lam_light = 0.5 * np.abs(amps_u + amps_v) ** 2 * plan.noise.eta
+    # row 0 is the dark port, row 1 the light port
+    lam = 0.5 * np.abs([amps_u - amps_v, amps_u + amps_v]) ** 2 * plan.noise.eta
+    p_dark = plan.noise.p_dark
+    p_click = p_dark - np.expm1(-lam) * (1.0 - p_dark)
     estimates = np.empty(plan.trials)
-    for t in range(plan.trials):
-        rng = derive_trial_rng(plan.master_seed, t)
-        dark_clicks = (rng.poisson(lam_dark) > 0).astype(np.int64)
-        light_clicks = (rng.poisson(lam_light) > 0).astype(np.int64)
-        if plan.noise.p_dark > 0.0:
-            dark_clicks |= rng.random(lam_dark.size) < plan.noise.p_dark
-            light_clicks |= rng.random(lam_light.size) < plan.noise.p_dark
-        estimates[t] = ed_estimate(dark_clicks, light_clicks, protocol.alpha)
+    for b, start, rows in _blocks(plan.trials, block_rows(p_click.size)):
+        rng = derive_block_rng(plan.master_seed, b)
+        clicks = rng.random((rows, *p_click.shape)) < p_click
+        estimates[start:start + rows] = ed_estimate(
+            clicks[:, 0], clicks[:, 1], protocol.alpha)
     return EdResult(
         mean_estimate=float(estimates.mean()),
         std_error=float(estimates.std(ddof=1) / math.sqrt(plan.trials)),

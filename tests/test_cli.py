@@ -92,6 +92,16 @@ class TestSimulate:
                 "--trials", "2000", "--seed", "11"]
         assert _run(args).output == _run(args).output
 
+    def test_golden_values(self):
+        # pins the block stream contract: 184 of 20000 trials err
+        result = _run(["simulate", "--k", "2", "--m", "1000", "--delta",
+                       "0.25", "--trials", "20000", "--seed", "7"])
+        report = json.loads(result.output)
+        assert report["d_th"] == 1
+        assert report["empirical_error"] == 0.0092
+        assert report["predicted_error"] == pytest.approx(0.010214337653619098,
+                                                          rel=1e-12)
+
     def test_z_score_sane(self):
         result = _run(["simulate", "--k", "2", "--m", "400", "--delta",
                        "0.25", "--trials", "5000", "--seed", "2"])
@@ -132,6 +142,16 @@ class TestEdEstimate:
         err = abs(report["mean_estimate"] - report["true_squared_distance"])
         assert err < 4.0 * report["std_error"] + 0.05
 
+    def test_golden_values(self):
+        # pins the block stream contract for the default 64-wide real pair
+        report = json.loads(_run(["ed-estimate", "--trials", "20000",
+                                  "--seed", "1"]).output)
+        assert report["true_squared_distance"] == pytest.approx(
+            1.9629900575084616, rel=1e-12)
+        assert report["mean_estimate"] == pytest.approx(1.9783, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.013781725301921195,
+                                                    rel=1e-12)
+
 
 class TestBadInput:
     """Out-of-range values stop at the CLI boundary with a usage error
@@ -146,6 +166,9 @@ class TestBadInput:
         (["simulate", "--delta", "0", "--mu", "1"], "--delta"),
         (["ed-estimate", "--seed", "-1"], "--seed"),
         (["solve", "--family", "interpolation", "--epsilon", "1"], "--epsilon"),
+        (["solve", "--family", "lattice", "--k", "1"], "--k"),
+        (["solve", "--family", "ring", "--k", "25"], "--k"),
+        (["simulate", "--k", "25"], "--k"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)

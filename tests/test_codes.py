@@ -129,3 +129,43 @@ class TestWorstCasePair:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             worst_case_pair(10, 0.2, 2, "scattered")
+
+    @pytest.mark.parametrize("ms", [range(1, 41), [97], [1000], [1001]],
+                             ids=["m<=40", "m=97", "m=1000", "m=1001"])
+    def test_even_matches_round_robin(self, ms):
+        # the closed form must be bit-identical to the round-robin it replaced
+        for m in ms:
+            for k in range(1, 9):
+                for dist in range(m + 1):
+                    x, y = worst_case_pair(m, dist / m, k, "even")
+                    assert not x.any()
+                    assert np.array_equal(y, _round_robin_even(m, dist, k)), \
+                        (m, k, dist)
+
+
+def _round_robin_even(m, dist, k):
+    """The `even` strategy's original loop, kept verbatim as the reference."""
+    y = np.zeros(m, dtype=np.uint8)
+    if dist == 0:
+        return y
+    n_blocks = -(-m // k)
+    flip = np.zeros(m, dtype=bool)
+    # round-robin over blocks, respecting the (possibly short) final block
+    block_fill = [0] * n_blocks
+    block_len = [min(k, m - j * k) for j in range(n_blocks)]
+    remaining = dist
+    while remaining > 0:
+        progressed = False
+        for j in range(n_blocks):
+            if remaining == 0:
+                break
+            if block_fill[j] < block_len[j]:
+                block_fill[j] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise ValueError("distance exceeds codeword length")
+    for j, fill in enumerate(block_fill):
+        flip[j * k: j * k + fill] = True
+    y[flip] ^= 1
+    return y

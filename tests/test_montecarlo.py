@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from qfp.analysis import IDEAL_NOISE, NoiseModel, ring_worst_case_error, \
-    solve_amplitude
+from qfp import montecarlo
+from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
+    ring_worst_case_error, solve_amplitude
 from qfp.codes import worst_case_pair
 from qfp.constellations import ProtocolInstance, encode_ed
-from qfp.montecarlo import (TrialPlan, derive_trial_rng, signal_click_probs,
-                            simulate_ed, simulate_equality, wilson_interval)
+from qfp.montecarlo import (TrialPlan, block_rows, derive_block_rng,
+                            signal_click_probs, simulate_ed,
+                            simulate_equality, wilson_interval)
 
 
 def _ring_plan(k=1, m=500, delta=0.25, mu=None, trials=2000, seed=0,
@@ -28,20 +30,20 @@ def _ring_plan(k=1, m=500, delta=0.25, mu=None, trials=2000, seed=0,
 
 class TestRngDerivation:
     def test_reproducible(self):
-        a = derive_trial_rng(123, 9).random(100)
-        b = derive_trial_rng(123, 9).random(100)
+        a = derive_block_rng(123, 9).random(100)
+        b = derive_block_rng(123, 9).random(100)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
-        a = derive_trial_rng(123, 9).random(100)
-        b = derive_trial_rng(123, 10).random(100)
+        a = derive_block_rng(123, 9).random(100)
+        b = derive_block_rng(123, 10).random(100)
         assert not np.array_equal(a, b)
 
     def test_stream_independence_smoke(self):
         # 3 sigma of a sample correlation over 1e4 draws is 0.03
         for idx in range(10):
-            a = derive_trial_rng(0, idx).random(10**4)
-            b = derive_trial_rng(0, idx + 1).random(10**4)
+            a = derive_block_rng(0, idx).random(10**4)
+            b = derive_block_rng(0, idx + 1).random(10**4)
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
 
@@ -52,19 +54,41 @@ class TestDeterminism:
         assert r1 == r2
 
     def test_chunked_equals_serial(self):
-        # worker-style chunking must reproduce the serial error count exactly
-        plan = _ring_plan(trials=400, seed=5)
-        serial = simulate_equality(plan)
-        probs = signal_click_probs(plan)
+        # worker-style chunking at a block boundary, each worker drawing its
+        # blocks from their own streams, must reproduce the serial error
+        # count exactly; three blocks, the last one short
+        probs = signal_click_probs(_ring_plan(trials=1, seed=5))
         uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
+        rows = block_rows(uniq.size)
+        plan = _ring_plan(trials=2 * rows + 123, seed=5)
+        serial = simulate_equality(plan)
         errors = 0
-        for chunk in (range(0, 100), range(100, 400)):
-            for t in chunk:
-                rng = derive_trial_rng(plan.master_seed, t)
-                clicks = int(np.sum(rng.binomial(counts, uniq)))
-                if clicks < serial.d_th:
-                    errors += 1
+        for chunk in (range(0, 1), range(1, 3)):
+            for b in chunk:
+                n = min(rows, plan.trials - b * rows)
+                rng = derive_block_rng(plan.master_seed, b)
+                clicks = rng.binomial(counts, uniq, size=(n, uniq.size))
+                errors += int(np.sum(clicks.sum(axis=1) < serial.d_th))
         assert errors / plan.trials == serial.empirical_error
+
+    def test_one_stream_per_block(self, monkeypatch):
+        # a return to per-trial streams would construct 1e4 generators
+        made = []
+
+        def counting(seed, block):
+            made.append(block)
+            return derive_block_rng(seed, block)
+
+        monkeypatch.setattr(montecarlo, "derive_block_rng", counting)
+        trials = 10**4
+        plan = _ring_plan(k=3, m=300, trials=trials)
+        groups = np.unique(np.round(signal_click_probs(plan), 15)).size
+        simulate_equality(plan)
+        assert made == list(range(math.ceil(trials / block_rows(groups))))
+        made.clear()
+        simulate_ed(_ed_plan(dim=64, trials=trials))
+        assert made == list(range(math.ceil(trials / block_rows(2 * 64))))
+        assert len(made) == 10
 
 
 class TestOneSidedness:
@@ -117,15 +141,24 @@ class TestWilson:
             wilson_interval(0, 0)
 
 
-class TestEdSimulation:
-    def _pair(self, dim=64, seed=0):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=dim)
-        v = rng.normal(size=dim)
-        return u / np.linalg.norm(u), v / np.linalg.norm(v)
+def _unit_pair(dim=64, seed=0):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=dim)
+    v = rng.normal(size=dim)
+    return u / np.linalg.norm(u), v / np.linalg.norm(v)
 
+
+def _ed_plan(dim=64, trials=2000, seed=0):
+    u, v = _unit_pair(dim)
+    return TrialPlan(trials=trials, master_seed=seed,
+                     protocol=ProtocolInstance(family="ed_real", s=dim,
+                                               alpha=math.sqrt(0.5)),
+                     noise=IDEAL_NOISE, input_x=u, input_y=v)
+
+
+class TestEdSimulation:
     def test_identical_inputs_estimate_zero(self):
-        u, _ = self._pair()
+        u, _ = _unit_pair()
         plan = TrialPlan(trials=2000, master_seed=1,
                          protocol=ProtocolInstance(family="ed_real", s=64,
                                                    alpha=math.sqrt(0.5)),
@@ -134,7 +167,7 @@ class TestEdSimulation:
         assert abs(res.mean_estimate) < 4.0 * max(res.std_error, 1e-9) + 1e-9
 
     def test_estimator_within_three_sigma(self):
-        u, v = self._pair(seed=3)
+        u, v = _unit_pair(seed=3)
         plan = TrialPlan(trials=20000, master_seed=4,
                          protocol=ProtocolInstance(family="ed_real", s=64,
                                                    alpha=math.sqrt(0.5)),
@@ -146,7 +179,7 @@ class TestEdSimulation:
     def test_variant_click_means_identical(self):
         # the packed encoding redistributes modes but conserves the total
         # expected click intensity exactly
-        u, v = self._pair(seed=5)
+        u, v = _unit_pair(seed=5)
         alpha = math.sqrt(0.5)
         for sign in (-1.0, 1.0):
             real = np.abs(encode_ed(u, alpha) + sign * encode_ed(v, alpha)) ** 2
@@ -155,10 +188,75 @@ class TestEdSimulation:
             assert real.sum() == pytest.approx(cplx.sum(), abs=1e-12)
 
     def test_rejects_non_ed_family(self):
-        u, v = self._pair()
+        u, v = _unit_pair()
         plan = TrialPlan(trials=10, master_seed=0,
                          protocol=ProtocolInstance(family="ring", k=1, m=64,
                                                    mu=1.0),
                          noise=IDEAL_NOISE, input_x=u, input_y=v)
         with pytest.raises(ValueError):
             simulate_ed(plan)
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("s", [1, 128, 10**6])
+    def test_ed_block_within_budget(self, s):
+        # both ports draw together: 2s uniforms per trial; a trial wider than
+        # the budget runs alone in its block
+        rows = block_rows(2 * s)
+        assert rows * 2 * s <= montecarlo._BLOCK_ELEMENTS or rows == 1
+
+    @pytest.mark.parametrize("s", [1, 128])
+    def test_ed_draws_one_block_array(self, monkeypatch, s):
+        # simulate_ed requests (block_rows(2s), 2, s) uniforms per block
+        shapes = []
+
+        class Spy:
+            def random(self, shape):
+                shapes.append(shape)
+                return np.ones(shape)
+
+        monkeypatch.setattr(montecarlo, "derive_block_rng",
+                            lambda seed, block: Spy())
+        simulate_ed(_ed_plan(dim=s, trials=5000))
+        rows = block_rows(2 * s)
+        assert shapes[0] == (min(rows, 5000), 2, s)
+        assert sum(shape[0] for shape in shapes) == 5000
+
+
+def _scalar_no_click_prob(beta_a, beta_b, visibility):
+    """The scalar no-click law as written before it broadcast."""
+    mu_dark = 0.5 * (abs(beta_a) ** 2 + abs(beta_b) ** 2
+                     - 2.0 * visibility * (np.conj(beta_a) * beta_b).real)
+    return math.exp(-mu_dark)
+
+
+class TestClickProbs:
+    """The broadcast no-click law against the per-signal scalar loop."""
+
+    @pytest.mark.parametrize("family,k", [("ring", 1), ("ring", 3),
+                                          ("lattice", 2), ("lattice", 4)])
+    @pytest.mark.parametrize("noise", [
+        IDEAL_NOISE, PAPER_EXP_NOISE,
+        NoiseModel(eta=0.8, p_dark=1e-3, visibility=0.95)],
+        ids=["ideal", "paper-exp", "visibility"])
+    def test_matches_scalar_loop(self, family, k, noise):
+        m = 240
+        x, y = worst_case_pair(m, 0.3, k, "even")
+        mu = solve_amplitude(k, m, 0.3, 0.01, noise)
+        plan = TrialPlan(trials=1, master_seed=0,
+                         protocol=ProtocolInstance(family=family, k=k, m=m,
+                                                   mu=mu),
+                         noise=noise, input_x=x, input_y=y)
+        # the per-signal loop the broadcast call replaced
+        amps_x = montecarlo._encode(plan.protocol, x)
+        amps_y = montecarlo._encode(plan.protocol, y)
+        root_eta = math.sqrt(noise.eta)
+        no_click = np.array([
+            _scalar_no_click_prob(a * root_eta, b * root_eta, noise.visibility)
+            for a, b in zip(amps_x, amps_y)
+        ])
+        loop = 1.0 - no_click * (1.0 - noise.p_dark)
+        probs = signal_click_probs(plan)
+        assert np.max(np.abs(probs - loop)) <= 2.2e-16
+        assert (montecarlo._threshold_for_plan(plan, probs)
+                == montecarlo._threshold_for_plan(plan, loop))
