@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, special
@@ -34,7 +34,6 @@ __all__ = [
     "solve_repetition",
     "ring_error_exponent",
     "ring_worst_case_error",
-    "pair_step_no_click",
     "experimental_click_probs",
     "log_binom_sf",
     "log_binom_cdf",
@@ -166,14 +165,6 @@ def ring_worst_case_error(k: int, mu: float, delta: float) -> float:
     return math.exp(-mu * ring_error_exponent(k, delta))
 
 
-def pair_step_no_click(k: int, beta_k: float, d_steps: int) -> float:
-    """No-click probability for two ring points d_steps apart."""
-    if not 0 <= d_steps <= 1 << (k - 1):
-        raise ValueError(f"d_steps must lie in [0, 2^(k-1)], got {d_steps}")
-    ang = 2.0 * math.pi * d_steps / (1 << k)
-    return math.exp(-abs(beta_k) ** 2 * (1.0 - math.cos(ang)))
-
-
 def experimental_click_probs(k: int, beta_k: float, delta: float, p_dark: float,
                              visibility: float = 1.0) -> tuple[float, float]:
     """Per-signal click probabilities (p_D, p_E) of the binomial click model.
@@ -286,12 +277,18 @@ def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
 def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
                                     delta: float, noise: NoiseModel) -> ThresholdResult:
     """Threshold-decision worst-case error of the ring protocol at a given
-    detected total mean photon number."""
+    detected total mean photon number.
+
+    This d_th is the decision rule itself: the Monte Carlo decides with it.
+    NotEqual needs at least one click, so d_th >= 1; t = 0 can win the
+    search only in a tie at error 1, so the floor moves no error value.
+    """
     m_k = -(-m // k)
     beta2 = mu_detected / (m / k)
     p_D, p_E = experimental_click_probs(k, math.sqrt(beta2), delta,
                                         noise.p_dark, noise.visibility)
-    return optimal_threshold(m_k, p_D, p_E)
+    res = optimal_threshold(m_k, p_D, p_E)
+    return res if res.d_th >= 1 else replace(res, d_th=1)
 
 
 _MU_CAP_DEFAULT = 1e7

@@ -265,8 +265,8 @@ def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
         trials=trials, master_seed=seed,
         protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
         noise=nm, input_x=x, input_y=y)
-    res = montecarlo.simulate_equality(plan)
     th = analysis.worst_case_error_with_threshold(k, m, mu * nm.eta, delta, nm)
+    res = montecarlo.simulate_equality(plan, th.d_th)
     predicted = th.worst_case_error
     spread = math.sqrt(max(predicted * (1.0 - predicted), 1e-300) / trials)
     z = (res.empirical_error - predicted) / spread
@@ -321,7 +321,8 @@ def usc(p_exc, out) -> None:
               default=0.5,
               help="Total mean photon number per run; keep <= 1 so threshold "
                    "clicks track photon counts.")
-@click.option("--trials", type=_POSITIVE, default=10000)
+@click.option("--trials", type=click.IntRange(min=2), default=10000,
+              help="Runs; the standard error needs at least two.")
 @click.option("--seed", type=_SEED, default=0)
 @click.option("--variant", type=click.Choice(["real", "complex"]),
               default="real")

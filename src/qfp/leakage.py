@@ -76,17 +76,15 @@ def qil_interpolation(k: int, m: int, p_k: float | None = None,
     interpolation family."""
     if p_k is None:
         p_k = k / m
-    if k <= 10**5:
-        per_signal = shannon_entropy(lambda_interpolation(k, m, p_k))
-    else:
-        # closed form of the same entropy; the 2k tail entries are equal,
-        # so materializing the vector is unnecessary (and infeasible at
-        # block sizes near m)
-        per_signal = 0.0
-        if 0.0 < p_k:
-            per_signal -= p_k * math.log2(p_k / (2.0 * k))
-        if p_k < 1.0:
-            per_signal -= (1.0 - p_k) * math.log2(1.0 - p_k)
+    if not 0.0 <= p_k <= 1.0:
+        raise ValueError(f"p_k must lie in [0, 1], got {p_k}")
+    # H(lambda_interpolation) in closed form: its 2k tail entries are equal,
+    # so the vector (infeasible at block sizes near m) is never built
+    per_signal = 0.0
+    if 0.0 < p_k:
+        per_signal -= p_k * math.log2(p_k / (2.0 * k))
+    if p_k < 1.0:
+        per_signal -= (1.0 - p_k) * math.log2(1.0 - p_k)
     n_signals = -(-m // k)
     bits = 2.0 * n_signals * r * per_signal
     analytic = 2.0 * r * (2.0 + (1.0 + k / m) * math.log2(2.0 * m))
@@ -235,11 +233,7 @@ def asymptotic_bound(n: float, m_k: float, mu_min: float, mu_max: float,
     if Delta <= mu_max:
         raise ValueError(f"requires Delta > mu_max, got Delta={Delta}, "
                          f"mu_max={mu_max}")
-    index_entropy = min(_poisson_entropy(mu_max),
-                        0.5 * math.log2(2.0 * math.pi * math.e * mu_max)
-                        if mu_max > 0 else 0.0)
-    if mu_max == 0.0:
-        index_entropy = 0.0
+    index_entropy = _poisson_entropy(mu_max)
     # j = 0 window: occupation bounded by 1
     total = _log2_dim_window(mu_max, mu_min, Delta, m_k)
     j = 1

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (NoiseModel, ed_estimate, no_click_prob,
-                       optimal_threshold)
+from .analysis import NoiseModel, ed_estimate, no_click_prob
 from .constellations import ProtocolInstance, encode_ed, encode_lattice, encode_ring
 
 __all__ = [
@@ -46,7 +45,6 @@ class TrialPlan:
     noise: NoiseModel
     input_x: np.ndarray = field(repr=False)
     input_y: np.ndarray = field(repr=False)
-    d_th: int | None = None  # decision threshold; None derives it from the model
 
     def __post_init__(self):
         if self.trials < 1:
@@ -122,28 +120,15 @@ def signal_click_probs(plan: TrialPlan) -> np.ndarray:
     return 1.0 - no_click * (1.0 - plan.noise.p_dark)
 
 
-def _threshold_for_plan(plan: TrialPlan, probs: np.ndarray) -> int:
-    """Decision threshold from the binomial click model: the modeled p_D is
-    the mean per-signal click probability of the given input pair.  At least
-    one click is always required to declare NotEqual."""
-    if plan.d_th is not None:
-        return plan.d_th
-    p_E = 1.0 - (1.0 - plan.noise.p_dark) * math.exp(
-        -plan.protocol.mu * plan.noise.eta * (1.0 - plan.noise.visibility))
-    p_D = float(probs.mean())
-    if p_D <= p_E:
-        return 1
-    return max(1, optimal_threshold(probs.size, p_D, p_E).d_th)
-
-
-def simulate_equality(plan: TrialPlan) -> EqualityResult:
-    """Empirical worst-case-side error rate of the threshold decision.
+def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
+    """Empirical error rate of the decision "NotEqual iff at least d_th
+    dark-port clicks", with d_th from the click model
+    (``analysis.worst_case_error_with_threshold``).
 
     For different inputs the error is deciding Equal (clicks below
     threshold); for equal inputs it is deciding NotEqual.
     """
     probs = signal_click_probs(plan)
-    d_th = _threshold_for_plan(plan, probs)
     inputs_equal = bool(np.array_equal(plan.input_x, plan.input_y))
     # group signals by click probability; per trial only the group totals
     # are needed

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, interp_worst_case_error,
-                          ring_worst_case_error, solve_amplitude)
+                          log_binom_cdf, ring_worst_case_error, solve_amplitude,
+                          worst_case_error_with_threshold)
 from qfp.checks import (interp_deviation, overlap_deviation,
                         projector_violations, qary_violations, usc_deviation)
 from qfp.cli import CURVE_PRESETS, NOISE_PRESETS
@@ -199,12 +200,14 @@ def test_criterion_10_monte_carlo_agreement():
         x, y = worst_case_pair(m, delta, k, "even")
         p = ring_worst_case_error(k, mu, delta)
         sigma = math.sqrt(p * (1.0 - p) / trials)
+        d_th = worst_case_error_with_threshold(k, m, mu, delta,
+                                               IDEAL_NOISE).d_th
         for rep in range(reps):
             plan = TrialPlan(
                 trials=trials, master_seed=1000 * k + rep,
                 protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
                 noise=IDEAL_NOISE, input_x=x, input_y=y)
-            res = simulate_equality(plan)
+            res = simulate_equality(plan, d_th)
             within += abs(res.empirical_error - p) < 3.0 * sigma
     frac = within / (3 * reps)
 
@@ -216,10 +219,10 @@ def test_criterion_10_monte_carlo_agreement():
     plan = TrialPlan(trials=2 * 10**4, master_seed=77,
                      protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
                      noise=noise, input_x=x, input_y=y)
-    res = simulate_equality(plan)
+    res = simulate_equality(plan, worst_case_error_with_threshold(
+        k, m, mu * noise.eta, delta, noise).d_th)
     probs = signal_click_probs(plan)
     # binomial prediction for the different-input (false-negative) side
-    from qfp.analysis import log_binom_cdf
     p_model = math.exp(log_binom_cdf(res.d_th, probs.size,
                                      float(probs.mean())))
     sigma = math.sqrt(max(p_model * (1.0 - p_model), 1e-300) / plan.trials)

@@ -18,10 +18,10 @@ from qfp.analysis import (InfeasibleError, NoiseModel, ThresholdResult,
                           interp_worst_case_error, log_binom_cdf,
                           log_binom_sf, no_click_prob,
                           optimal_measurement_error_lb, optimal_threshold,
-                          pair_step_no_click, qary_ring_error,
-                          ring_error_exponent, ring_worst_case_error,
-                          solve_amplitude, solve_repetition,
-                          worst_case_error_with_threshold)
+                          qary_ring_error, ring_error_exponent,
+                          ring_worst_case_error, solve_amplitude,
+                          solve_repetition, worst_case_error_with_threshold)
+from qfp.constellations import ring_constellation
 
 
 class TestNoClickProb:
@@ -83,10 +83,11 @@ class TestRingError:
 
     def test_integer_step_matches_pair_step(self):
         k, beta = 3, 0.8
+        points = ring_constellation(k, beta).points
         for steps in range(1, (1 << (k - 1)) + 1):
             delta = steps / k
             err = ring_worst_case_error(k, beta ** 2, delta)
-            assert err == pytest.approx(pair_step_no_click(k, beta, steps),
+            assert err == pytest.approx(no_click_prob(points[0], points[steps]),
                                         rel=1e-12)
 
     def test_exponent_monotone_to_half_turn(self):
@@ -103,8 +104,9 @@ class TestClickModel:
         assert p_E == 0.0
         kd = k * delta
         lo, frac = math.floor(kd), k * delta - math.floor(kd)
-        expect = ((1.0 - frac) * (1.0 - pair_step_no_click(k, beta, lo))
-                  + frac * (1.0 - pair_step_no_click(k, beta, lo + 1)))
+        points = ring_constellation(k, beta).points
+        expect = ((1.0 - frac) * (1.0 - no_click_prob(points[0], points[lo]))
+                  + frac * (1.0 - no_click_prob(points[0], points[lo + 1])))
         assert p_D == pytest.approx(expect, rel=1e-12)
 
     def test_dark_counts_additive(self):
@@ -312,6 +314,17 @@ class TestOptimalThreshold:
     def test_zero_dark_counts_gives_one_click(self):
         res = optimal_threshold(1000, 0.01, 0.0)
         assert res.d_th == 1
+
+    def test_decision_needs_one_click(self):
+        # with no light and no dark counts every threshold errs with
+        # probability 1; the search takes t = 0 on that tie, the decision
+        # rule floors it to one click without moving the error
+        search = optimal_threshold(1000, 0.0, 0.0)
+        rule = worst_case_error_with_threshold(2, 2000, 0.0, 0.25,
+                                               NoiseModel())
+        assert search.d_th == 0
+        assert rule.d_th == 1
+        assert rule.worst_case_error == search.worst_case_error == 1.0
 
     def test_ordering_check(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import qfp
+from qfp.analysis import NoiseModel, worst_case_error_with_threshold
 from qfp.cli import CSV_COLUMNS, main
 from qfp.constellations import lattice_mu_range
 from qfp.leakage import fannes_audenaert_bound
@@ -109,6 +110,29 @@ class TestSimulate:
         report = json.loads(result.output)
         assert abs(report["z_score"]) < 4.0
 
+    @pytest.mark.parametrize("visibility", [0.95, 0.98, 0.99])
+    def test_reduced_visibility_decides_with_model_threshold(self, tmp_path,
+                                                             visibility):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"visibility": visibility}))
+        result = CliRunner().invoke(main, [
+            "simulate", "--k", "2", "--m", "2000", "--delta", "0.25",
+            "--trials", "20000", "--seed", "3", "--config", str(cfg)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        noise = NoiseModel(visibility=visibility)
+        assert report["d_th"] == worst_case_error_with_threshold(
+            2, 2000, report["mu"], 0.25, noise).d_th
+
+    def test_no_light_still_needs_one_click(self):
+        # mu = 0: no threshold separates the inputs; NotEqual still needs a
+        # click, so every different-input trial decides Equal
+        result = _run(["simulate", "--k", "2", "--m", "1000", "--mu", "0",
+                       "--trials", "1000", "--seed", "4"])
+        report = json.loads(result.output)
+        assert report["d_th"] == 1
+        assert report["empirical_error"] == 1.0
+
 
 class TestVerify:
     def test_all_suites_pass(self):
@@ -169,6 +193,7 @@ class TestBadInput:
         (["solve", "--family", "lattice", "--k", "1"], "--k"),
         (["solve", "--family", "ring", "--k", "25"], "--k"),
         (["simulate", "--k", "25"], "--k"),
+        (["ed-estimate", "--trials", "1"], "--trials"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qfp.analysis import NoiseModel
 from qfp.codes import binary_entropy
-from qfp.leakage import (_log2_dim_window, _typical_tail, asymptotic_bound,
-                         classical_reference, fannes_audenaert_bound,
-                         lambda_interpolation, lambda_ring, lambda_ring_series,
+from qfp.leakage import (_log2_dim_window, _poisson_entropy, _typical_tail,
+                         asymptotic_bound, classical_reference,
+                         fannes_audenaert_bound, lambda_interpolation,
+                         lambda_ring, lambda_ring_series,
                          optimize_delta_for_qil, qil_interpolation, qil_ring,
                          shannon_entropy)
 
@@ -52,6 +54,16 @@ class TestLambdaVectors:
 
 
 class TestMajorizationBounds:
+    @pytest.mark.parametrize("k,m,p_k", [
+        (1, 100, None), (3, 300, None), (7, 50, None), (2000, 10**5, None),
+        (4, 100, 0.0), (4, 100, 0.37), (4, 100, 1.0), (1, 2, 0.5)])
+    def test_interpolation_closed_form_entropy(self, k, m, p_k):
+        # the closed form against the entropy of the materialized vector
+        got = qil_interpolation(k, m, p_k).subterms["per_signal_entropy"]
+        want = shannon_entropy(lambda_interpolation(
+            k, m, k / m if p_k is None else p_k))
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_interpolation_below_analytic_cap(self):
         for k, m in [(1, 100), (3, 300), (5, 1000)]:
             bound = qil_interpolation(k, m)
@@ -142,6 +154,15 @@ class TestAsymptoticBound:
     def test_requires_wide_window(self):
         with pytest.raises(ValueError):
             asymptotic_bound(1e4, 1e4, 10.0, 10.0, Delta=5)
+
+    @pytest.mark.parametrize("mu", [0.01, 0.1])
+    def test_index_entropy_is_exact_at_weak_light(self, mu):
+        # below mu ~ 0.3 the Gaussian entropy 1/2 log2(2 pi e mu) is smaller
+        # than the Poisson entropy (negative at mu = 0.01), so it is no bound
+        index = asymptotic_bound(1e6, 1e4, mu, mu, 64).subterms["index_entropy"]
+        assert index == _poisson_entropy(mu) >= 0.0
+        assert index == pytest.approx(
+            stats.poisson(mu).entropy() / math.log(2.0), rel=1e-9)
 
 
 class TestClassicalReference:

@@ -8,7 +8,7 @@ import pytest
 
 from qfp import montecarlo
 from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
-    ring_worst_case_error, solve_amplitude
+    ring_worst_case_error, solve_amplitude, worst_case_error_with_threshold
 from qfp.codes import worst_case_pair
 from qfp.constellations import ProtocolInstance, encode_ed
 from qfp.montecarlo import (TrialPlan, block_rows, derive_block_rng,
@@ -16,16 +16,24 @@ from qfp.montecarlo import (TrialPlan, block_rows, derive_block_rng,
                             simulate_equality, wilson_interval)
 
 
+def _model(k, m, delta, mu, noise):
+    """The click model's threshold and worst-case error at a design point."""
+    return worst_case_error_with_threshold(k, m, mu * noise.eta, delta, noise)
+
+
 def _ring_plan(k=1, m=500, delta=0.25, mu=None, trials=2000, seed=0,
                noise=IDEAL_NOISE, strategy="even", equal=False):
+    """A ring plan on the worst-case pair (or an equal pair) and the click
+    model's d_th at its design point, the arguments of simulate_equality."""
     if mu is None:
         mu = solve_amplitude(k, m, delta, 0.01, noise)
     x, y = worst_case_pair(m, delta, k, strategy)
     if equal:
         y = x.copy()
-    return TrialPlan(trials=trials, master_seed=seed,
+    plan = TrialPlan(trials=trials, master_seed=seed,
                      protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
                      noise=noise, input_x=x, input_y=y)
+    return plan, _model(k, m, delta, mu, noise).d_th
 
 
 class TestRngDerivation:
@@ -49,19 +57,19 @@ class TestRngDerivation:
 
 class TestDeterminism:
     def test_identical_plans_identical_results(self):
-        r1 = simulate_equality(_ring_plan(seed=7))
-        r2 = simulate_equality(_ring_plan(seed=7))
+        r1 = simulate_equality(*_ring_plan(seed=7))
+        r2 = simulate_equality(*_ring_plan(seed=7))
         assert r1 == r2
 
     def test_chunked_equals_serial(self):
         # worker-style chunking at a block boundary, each worker drawing its
         # blocks from their own streams, must reproduce the serial error
         # count exactly; three blocks, the last one short
-        probs = signal_click_probs(_ring_plan(trials=1, seed=5))
+        probs = signal_click_probs(_ring_plan(trials=1, seed=5)[0])
         uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
         rows = block_rows(uniq.size)
-        plan = _ring_plan(trials=2 * rows + 123, seed=5)
-        serial = simulate_equality(plan)
+        plan, d_th = _ring_plan(trials=2 * rows + 123, seed=5)
+        serial = simulate_equality(plan, d_th)
         errors = 0
         for chunk in (range(0, 1), range(1, 3)):
             for b in chunk:
@@ -81,9 +89,9 @@ class TestDeterminism:
 
         monkeypatch.setattr(montecarlo, "derive_block_rng", counting)
         trials = 10**4
-        plan = _ring_plan(k=3, m=300, trials=trials)
+        plan, d_th = _ring_plan(k=3, m=300, trials=trials)
         groups = np.unique(np.round(signal_click_probs(plan), 15)).size
-        simulate_equality(plan)
+        simulate_equality(plan, d_th)
         assert made == list(range(math.ceil(trials / block_rows(groups))))
         made.clear()
         simulate_ed(_ed_plan(dim=64, trials=trials))
@@ -93,14 +101,27 @@ class TestDeterminism:
 
 class TestOneSidedness:
     def test_equal_inputs_never_err(self):
-        res = simulate_equality(_ring_plan(equal=True, trials=5000))
+        res = simulate_equality(*_ring_plan(equal=True, trials=5000))
         assert res.empirical_error == 0.0
 
     def test_equal_inputs_with_dark_counts_err(self):
         noise = NoiseModel(eta=1.0, p_dark=0.01)
-        res = simulate_equality(_ring_plan(equal=True, trials=5000,
-                                           noise=noise, mu=5.0))
+        res = simulate_equality(*_ring_plan(equal=True, trials=5000,
+                                            noise=noise, mu=5.0))
         assert res.empirical_error > 0.0
+
+    def test_reduced_visibility_false_positives_at_model_threshold(self):
+        # equal inputs click at 1 - e^(-|beta_k|^2 (1 - V)) per signal; the
+        # model threshold keeps the false-positive rate within the model's
+        # worst-case error (a threshold of one click errs ~29 % of the time)
+        k, m, delta, trials = 2, 2000, 0.25, 20000
+        noise = NoiseModel(visibility=0.98)
+        mu = solve_amplitude(k, m, delta, 0.01, noise)
+        plan, d_th = _ring_plan(k=k, m=m, delta=delta, mu=mu, trials=trials,
+                                seed=3, noise=noise, equal=True)
+        p = _model(k, m, delta, mu, noise).worst_case_error
+        res = simulate_equality(plan, d_th)
+        assert res.empirical_error <= p + 3.0 * math.sqrt(p * (1 - p) / trials)
 
 
 class TestClosedFormAgreement:
@@ -110,12 +131,13 @@ class TestClosedFormAgreement:
         delta, trials = 0.25, 20000
         m = 500 * k
         mu = solve_amplitude(k, m, delta, 0.01)
-        plan = _ring_plan(k=k, m=m, delta=delta, mu=mu, trials=trials,
-                          seed=k * 10 + (strategy == "even"),
-                          strategy=strategy)
-        res = simulate_equality(plan)
+        plan, d_th = _ring_plan(k=k, m=m, delta=delta, mu=mu, trials=trials,
+                                seed=k * 10 + (strategy == "even"),
+                                strategy=strategy)
+        res = simulate_equality(plan, d_th)
         # the decision errs only on zero clicks (ideal noise, d_th = 1), so
         # the exact prediction is the product of per-signal no-click probs
+        assert d_th == 1
         p = float(np.prod(1.0 - signal_click_probs(plan)))
         if strategy == "even":
             assert p == pytest.approx(ring_worst_case_error(k, mu, delta),
@@ -124,7 +146,7 @@ class TestClosedFormAgreement:
         assert abs(res.empirical_error - p) < 3.0 * sigma
 
     def test_wilson_interval_covers(self):
-        res = simulate_equality(_ring_plan(trials=20000, seed=42))
+        res = simulate_equality(*_ring_plan(trials=20000, seed=42))
         lo, hi = res.confidence_interval
         assert lo <= 0.01 <= hi
 
@@ -258,5 +280,3 @@ class TestClickProbs:
         loop = 1.0 - no_click * (1.0 - noise.p_dark)
         probs = signal_click_probs(plan)
         assert np.max(np.abs(probs - loop)) <= 2.2e-16
-        assert (montecarlo._threshold_for_plan(plan, probs)
-                == montecarlo._threshold_for_plan(plan, loop))
