@@ -13,11 +13,11 @@ from .analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
 from .codes import (GrayMap, binary_entropy, gv_binary_length, gv_binary_rate,
                     gv_qary_length, gv_qary_rate, lattice_gray, ring_gray,
                     worst_case_pair)
-from .constellations import (Constellation, ProtocolInstance, encode_ed,
-                             encode_lattice, encode_ring,
-                             interpolation_qubits, interpolation_signal,
-                             interpolation_state_vector, lattice_constellation,
-                             lattice_mu_range, ring_constellation)
+from .constellations import (Constellation, ProtocolInstance, encode,
+                             encode_ed, interpolation_qubits,
+                             interpolation_signal, interpolation_state_vector,
+                             lattice_constellation, lattice_mu_range,
+                             ring_constellation)
 from .leakage import (DeltaOptimum, LeakageBound, asymptotic_bound,
                       classical_reference, fannes_audenaert_bound,
                       lambda_interpolation, lambda_ring, qil_interpolation,

@@ -184,14 +184,11 @@ def experimental_click_probs(k: int, beta_k: float, delta: float, p_dark: float,
         return -math.expm1(-b2 * (1.0 - visibility * math.cos(ang)))
 
     p_signal = (1.0 - frac) * click(lo) + frac * click(lo + 1)
-    p_equal_optical = -math.expm1(-b2 * (1.0 - visibility))
-    p_D = 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
-    p_E = 1.0 - (1.0 - p_equal_optical) * (1.0 - p_dark)
-    if visibility == 1.0:
-        # reduce exactly to the additive form of the binomial click model
-        p_D = p_signal + p_dark - p_signal * p_dark
-        p_E = p_dark
-    return p_D, p_E
+    p_equal = -math.expm1(-b2 * (1.0 - visibility))
+    # dark counts in the additive form of 1 - (1 - p)(1 - p_dark), which
+    # does not cancel when both are tiny
+    return (p_signal + p_dark - p_signal * p_dark,
+            p_equal + p_dark - p_equal * p_dark)
 
 
 _POISSON_MEAN_CUT = 1e-3

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, checks, codes, leakage, montecarlo, oracle
 from .analysis import IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError, NoiseModel
-from .constellations import ProtocolInstance, lattice_mu_range
+from .constellations import ProtocolInstance
 
 CSV_COLUMNS = ["n", "k", "family", "delta_opt", "mu", "m_k", "error_model",
                "qil_bits", "bound_method", "classical_ref_bits", "infeasible"]
@@ -48,8 +48,9 @@ CURVE_PRESETS = {
 _N_GRID_POINTS = 11
 
 _POSITIVE = click.IntRange(min=1)
-# smallest k each Gray-mapped family's constellation is defined for
-_GRAY_K_MIN = {"ring": 1, "lattice": 2}
+# (min, max) k of `solve`: the ring's majorization bound builds a dense
+# 2^k x 2^k DFT (592 MiB at k = 12)
+_SOLVE_K_RANGE = {"ring": (1, 12), "lattice": (2, codes.MAX_GRAY_BITS)}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
 _NOISE = click.Choice(sorted(NOISE_PRESETS))
 
@@ -71,22 +72,35 @@ def n_grid(points: int = _N_GRID_POINTS) -> np.ndarray:
 
 
 def _load_config(path: str | None) -> dict:
+    """The --config file's JSON object; each value must be one string or
+    number (click's types raise TypeError on null or a list)."""
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise click.BadParameter(str(exc), param_hint="'--config'") from None
+    if not isinstance(config, dict):
+        raise click.BadParameter("holds no JSON object", param_hint="'--config'")
+    for key, val in config.items():
+        if not isinstance(val, (str, int, float)):
+            raise click.BadParameter(f"expected one value, got {json.dumps(val)}",
+                                     param_hint=f"config key '{key}'")
+    return config
 
 
 def _merge(config: dict, config_only: dict, **flags) -> dict:
     """Flags override file values; None flags fall back to the file.  A file
     key must be a flag or config-only key (mapped to its click type) of the
-    command, and its value must pass that type: all else is a usage error."""
+    command, and its value must pass that type, which converts it as it
+    would the flag: all else is a usage error."""
     ctx = click.get_current_context()
     params = {param.name: param for param in ctx.command.params}
     for key, val in config.items():
         if key in config_only:
             try:
-                config_only[key].convert(val, None, ctx)
+                config[key] = config_only[key].convert(val, None, ctx)
             except click.BadParameter as exc:
                 exc.param_hint = f"config key '{key}'"
                 raise
@@ -94,7 +108,7 @@ def _merge(config: dict, config_only: dict, **flags) -> dict:
             raise click.UsageError(f"unknown config key {key!r}; this command "
                                    f"reads {sorted([*flags, *config_only])}")
         elif flags[key] is None:
-            params[key].type.convert(val, params[key], ctx)
+            config[key] = params[key].type.convert(val, params[key], ctx)
     return {**config, **{key: val for key, val in flags.items()
                          if val is not None}}
 
@@ -167,7 +181,8 @@ def curves(preset, config_path, n_points, out) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--family", default=None)
+@click.option("--family", type=click.Choice(["interpolation", "lattice", "ring"]),
+              default=None)
 @click.option("--k", type=_POSITIVE, default=None)
 @click.option("--n", type=_POSITIVE, default=None, help="Input size in bits.")
 @click.option("--delta", type=click.FloatRange(0.0, 0.5, max_open=True),
@@ -186,13 +201,18 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
     delta = p.get("delta", 0.25)
     epsilon = p.get("epsilon", 0.01)
     nm = _noise_from(p)
+    m = codes.gv_binary_length(n, delta)
     if fam == "interpolation" and epsilon >= 1.0:
         raise click.BadParameter("the interpolation family needs epsilon < 1",
                                  param_hint="'--epsilon'")
-    if fam in _GRAY_K_MIN and not _GRAY_K_MIN[fam] <= k <= codes.MAX_GRAY_BITS:
-        raise click.BadParameter(
-            f"the {fam} family needs {_GRAY_K_MIN[fam]} <= k <= "
-            f"{codes.MAX_GRAY_BITS}", param_hint="'--k'")
+    if fam == "interpolation" and k > m:
+        raise click.BadParameter(f"the interpolation family needs k <= m, the "
+                                 f"codeword length ({m})", param_hint="'--k'")
+    if fam in _SOLVE_K_RANGE:
+        k_min, k_max = _SOLVE_K_RANGE[fam]
+        if not k_min <= k <= k_max:
+            raise click.BadParameter(f"the {fam} family needs {k_min} <= k "
+                                     f"<= {k_max}", param_hint="'--k'")
 
     report: dict = {"family": fam, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon,
@@ -200,32 +220,28 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
                               "visibility": nm.visibility}}
     try:
         if fam == "interpolation":
-            m = codes.gv_binary_length(n, delta)
             p_k = k / m
             r = analysis.solve_repetition(k, m, delta, p_k, epsilon)
             report.update(m=m, p_k=p_k, repetitions=r,
                           worst_case_error=analysis.interp_worst_case_error(
                               k, m, delta, p_k, r),
                           qil_bits=leakage.qil_interpolation(k, m, p_k, r).bits)
-        elif fam in ("ring", "lattice"):
-            m = codes.gv_binary_length(n, delta)
-            mu = analysis.solve_amplitude(k, m, delta, epsilon, nm)
-            m_k = m / k
+        else:
+            # the design point the curves use, at the integer codeword length
+            opt = leakage._coherent_family_qil(fam, k, n, m, delta, epsilon,
+                                               nm, "beamsplitter")
+            mu, m_k = opt.mu, opt.m_k
             mu_det = mu * nm.eta
-            beta_k = math.sqrt(mu / m_k)
             th = analysis.worst_case_error_with_threshold(k, m, mu_det, delta, nm)
-            mu_range = lattice_mu_range(k, m, mu) if fam == "lattice" else (mu, mu)
+            ring = fam == "ring"
             report.update(
                 m=m, m_k=m_k, mu_launched=mu, mu_detected=mu_det,
-                beta_k=beta_k, d_th=th.d_th,
+                beta_k=math.sqrt(mu / m_k), d_th=th.d_th,
                 worst_case_error=th.worst_case_error,
-                qil_majorization_bits=leakage.qil_ring(
-                    k, m, beta_k).bits if fam == "ring" else None,
+                qil_majorization_bits=opt.bound.bits if ring else None,
                 qil_typical_subspace_bits=leakage.fannes_audenaert_bound(
-                    n, m_k, *mu_range).bits,
+                    n, m_k, mu, mu).bits if ring else opt.bound.bits,
             )
-        else:
-            raise click.UsageError(f"unsupported family {fam!r}")
     except InfeasibleError as exc:
         report["infeasible"] = str(exc)
         _emit(json.dumps(report, indent=2) + "\n", out)
@@ -263,7 +279,7 @@ def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
     x, y = codes.worst_case_pair(m, delta, k, p.get("strategy", "even"))
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,
-        protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
+        protocol=ProtocolInstance(family="ring", k=k, mu=mu),
         noise=nm, input_x=x, input_y=y)
     th = analysis.worst_case_error_with_threshold(k, m, mu * nm.eta, delta, nm)
     res = montecarlo.simulate_equality(plan, th.d_th)

@@ -37,8 +37,6 @@ class GrayMap:
     ``row * cols + col`` grid index.  ``label_at`` is the inverse.
     """
 
-    k: int
-    geometry: str  # "ring" | "lattice"
     position_of: np.ndarray = field(repr=False)
     label_at: np.ndarray = field(repr=False)
     shape: tuple[int, ...] = ()
@@ -106,8 +104,7 @@ def ring_gray(k: int) -> GrayMap:
     label_at = _reflected_gray(k)
     position_of = np.empty_like(label_at)
     position_of[label_at] = np.arange(1 << k, dtype=np.int64)
-    return GrayMap(k=k, geometry="ring", position_of=position_of,
-                   label_at=label_at, shape=(1 << k,))
+    return GrayMap(position_of=position_of, label_at=label_at, shape=(1 << k,))
 
 
 def lattice_gray(k: int) -> GrayMap:
@@ -127,8 +124,8 @@ def lattice_gray(k: int) -> GrayMap:
     label_at = label_at.reshape(-1)
     position_of = np.empty_like(label_at)
     position_of[label_at] = np.arange(rows * cols, dtype=np.int64)
-    return GrayMap(k=k, geometry="lattice", position_of=position_of,
-                   label_at=label_at, shape=(rows, cols))
+    return GrayMap(position_of=position_of, label_at=label_at,
+                   shape=(rows, cols))
 
 
 def worst_case_pair(m: int, delta: float, k: int,

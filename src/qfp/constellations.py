@@ -19,8 +19,7 @@ __all__ = [
     "ProtocolInstance",
     "ring_constellation",
     "lattice_constellation",
-    "encode_ring",
-    "encode_lattice",
+    "encode",
     "encode_ed",
     "interpolation_qubits",
     "interpolation_signal",
@@ -51,7 +50,6 @@ class ProtocolInstance:
 
     family: str  # ring | lattice | ed_real | ed_complex
     k: int = 1
-    m: int = 0
     mu: float = 0.0
     s: int = 0
     alpha: complex = 0.0
@@ -105,28 +103,22 @@ def _signal_amplitude(m: int, k: int, mu: float) -> float:
     return math.sqrt(mu / (m / k))
 
 
-def encode_ring(codeword: np.ndarray, k: int, mu: float) -> np.ndarray:
-    """Amplitude sequence of the ring protocol for one codeword."""
-    codeword = np.asarray(codeword, dtype=np.uint8)
-    m = codeword.size
-    beta = _signal_amplitude(m, k, mu)
-    const = ring_constellation(k, beta)
-    labels = _block_labels(codeword, k)
-    return const.points[const.labels.position_of[labels]]
+_CONSTELLATIONS = {"ring": ring_constellation, "lattice": lattice_constellation}
 
 
-def encode_lattice(codeword: np.ndarray, k: int, mu: float) -> np.ndarray:
-    """Amplitude sequence of the lattice protocol for one codeword.
+def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
+    """Amplitude sequence of the ring or lattice protocol for one codeword.
 
-    Spacing is normalized so the grid-averaged total mean photon number over
-    all possible codewords equals mu.
+    The per-signal amplitude is the ring's radius and the lattice's rms
+    modulus, so the total mean photon number is mu on the ring and mu
+    averaged over all codewords on the lattice.
     """
+    if family not in _CONSTELLATIONS:
+        raise ValueError(f"unsupported family {family!r}; the encoder "
+                         f"knows {sorted(_CONSTELLATIONS)}")
     codeword = np.asarray(codeword, dtype=np.uint8)
-    m = codeword.size
-    beta_rms = _signal_amplitude(m, k, mu)
-    const = lattice_constellation(k, beta_rms)
-    labels = _block_labels(codeword, k)
-    return const.points[const.labels.position_of[labels]]
+    const = _CONSTELLATIONS[family](k, _signal_amplitude(codeword.size, k, mu))
+    return const.points[const.labels.position_of[_block_labels(codeword, k)]]
 
 
 def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:

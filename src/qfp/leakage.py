@@ -282,17 +282,17 @@ _GOLDEN_TOL = 1e-6
 _COARSE_GRID_POINTS = 41
 
 
-def _coherent_family_qil(family: str, k: int, n: float, delta: float,
-                         epsilon: float, noise: NoiseModel,
+def _coherent_family_qil(family: str, k: int, n: float, m: float,
+                         delta: float, epsilon: float, noise: NoiseModel,
                          measurement: str) -> DeltaOptimum:
-    """Leakage of one (k, delta) design point; the GV bound is taken as an
-    equality for the rate, so m is real-valued.
+    """Design point and leakage bound of a ring or lattice protocol for n
+    input bits at codeword length m: real-valued from the delta optimizer,
+    the integer GV length from ``qfp solve``, rounded where m must be whole.
 
     The ring family admits the majorization bound; the lattice constellation
     does not, so it falls back to the typical-subspace bound with its
     per-codeword photon-number range.
     """
-    m = n / gv_binary_rate(delta)
     if measurement == "optimal_lb":
         # optimal one-sided measurement error >= beamsplitter error squared,
         # so half the exponent budget guarantees epsilon
@@ -324,12 +324,16 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
+    def design(delta: float) -> DeltaOptimum:
+        # the GV bound taken as an equality for the rate: m is real-valued
+        return _coherent_family_qil(family, k, n, n / gv_binary_rate(delta),
+                                    delta, epsilon, noise, measurement)
+
     def objective(delta: float) -> float:
         # a distance can be individually infeasible (dark-count floor above
         # epsilon at its codeword length) without the whole problem being so
         try:
-            return _coherent_family_qil(family, k, n, delta, epsilon, noise,
-                                        measurement).bound.bits
+            return design(delta).bound.bits
         except InfeasibleError:
             return math.inf
 
@@ -361,12 +365,9 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = objective(d)
-    delta_star = 0.5 * (a + b)
-    result = _coherent_family_qil(family, k, n, delta_star, epsilon, noise,
-                                  measurement)
+    result = design(0.5 * (a + b))
     # near a jump the bracket midpoint may sit on the expensive branch;
     # never return worse than the best coarse-grid point
     if result.bound.bits > values[i_best]:
-        result = _coherent_family_qil(family, k, n, float(grid[i_best]),
-                                      epsilon, noise, measurement)
+        result = design(float(grid[i_best]))
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NoiseModel, ed_estimate, no_click_prob
-from .constellations import ProtocolInstance, encode_ed, encode_lattice, encode_ring
+from .constellations import ProtocolInstance, encode, encode_ed
 
 __all__ = [
     "TrialPlan",
@@ -99,23 +99,16 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _encode(protocol: ProtocolInstance, codeword: np.ndarray) -> np.ndarray:
-    if protocol.family == "ring":
-        return encode_ring(codeword, protocol.k, protocol.mu)
-    if protocol.family == "lattice":
-        return encode_lattice(codeword, protocol.k, protocol.mu)
-    raise ValueError(f"unsupported family {protocol.family!r} for click simulation")
-
-
 def signal_click_probs(plan: TrialPlan) -> np.ndarray:
     """Per-signal dark-port click probability for the plan's input pair.
 
     Amplitudes in the plan are launched values; the channel applies
     sqrt(eta) before the beamsplitter, and dark counts add independently.
     """
+    p = plan.protocol
     root_eta = math.sqrt(plan.noise.eta)
-    no_click = no_click_prob(_encode(plan.protocol, plan.input_x) * root_eta,
-                             _encode(plan.protocol, plan.input_y) * root_eta,
+    no_click = no_click_prob(encode(plan.input_x, p.family, p.k, p.mu) * root_eta,
+                             encode(plan.input_y, p.family, p.k, p.mu) * root_eta,
                              plan.noise.visibility)
     return 1.0 - no_click * (1.0 - plan.noise.p_dark)
 

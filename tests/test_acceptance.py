@@ -205,7 +205,7 @@ def test_criterion_10_monte_carlo_agreement():
         for rep in range(reps):
             plan = TrialPlan(
                 trials=trials, master_seed=1000 * k + rep,
-                protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
+                protocol=ProtocolInstance(family="ring", k=k, mu=mu),
                 noise=IDEAL_NOISE, input_x=x, input_y=y)
             res = simulate_equality(plan, d_th)
             within += abs(res.empirical_error - p) < 3.0 * sigma
@@ -217,7 +217,7 @@ def test_criterion_10_monte_carlo_agreement():
     mu = solve_amplitude(k, m, delta, EPSILON, noise)
     x, y = worst_case_pair(m, delta, k, "even")
     plan = TrialPlan(trials=2 * 10**4, master_seed=77,
-                     protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
+                     protocol=ProtocolInstance(family="ring", k=k, mu=mu),
                      noise=noise, input_x=x, input_y=y)
     res = simulate_equality(plan, worst_case_error_with_threshold(
         k, m, mu * noise.eta, delta, noise).d_th)

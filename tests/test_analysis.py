@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qfp import checks
-from qfp.analysis import (InfeasibleError, NoiseModel, ThresholdResult,
-                          _use_poisson, ed_estimate, ed_repetition_plan,
-                          experimental_click_probs, interp_nd_prob,
-                          interp_worst_case_error, log_binom_cdf,
-                          log_binom_sf, no_click_prob,
+from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
+                          ThresholdResult, _use_poisson, ed_estimate,
+                          ed_repetition_plan, experimental_click_probs,
+                          interp_nd_prob, interp_worst_case_error,
+                          log_binom_cdf, log_binom_sf, no_click_prob,
                           optimal_measurement_error_lb, optimal_threshold,
                           qary_ring_error, ring_error_exponent,
                           ring_worst_case_error, solve_amplitude,
@@ -117,6 +117,23 @@ class TestClickModel:
     def test_visibility_raises_equal_clicks(self):
         _, p_E = experimental_click_probs(1, 0.5, 0.25, 0.0, 0.98)
         assert p_E > 0.0
+
+    def test_unit_visibility_adds_dark_counts(self):
+        k, beta, delta, p_dark = 2, 0.4, 0.3, 7.3e-11
+        p_signal, _ = experimental_click_probs(k, beta, delta, 0.0, 1.0)
+        p_D, p_E = experimental_click_probs(k, beta, delta, p_dark, 1.0)
+        assert p_E == p_dark
+        assert p_D == p_signal + p_dark - p_signal * p_dark
+
+    def test_reduced_visibility_dark_counts_exact(self):
+        # 1 - (1 - p)(1 - p_dark) cancels at p, p_dark ~ 1e-10 (8.3e-8
+        # relative); compare with the exact rational sum
+        k, beta, delta, vis = 2, 1e-5, 0.3, 0.98
+        p_dark = PAPER_EXP_NOISE.p_dark
+        _, p_E = experimental_click_probs(k, beta, delta, p_dark, vis)
+        p = Fraction(-math.expm1(-beta ** 2 * (1.0 - vis)))
+        exact = p + Fraction(p_dark) - p * Fraction(p_dark)
+        assert p_E == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def _exact_binom_sf(t, m, p_frac):

@@ -3,6 +3,8 @@ perturbed; otherwise a check could pass whatever it measures.  Where the
 closed form is an inline expression (overlap, USC), the oracle side is
 perturbed instead.  Counts pass below 1."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,7 @@ from qfp import analysis, checks, codes, oracle
 def _swap_two_labels(gray):
     label_at = gray.label_at.copy()
     label_at[[1, 2]] = label_at[[2, 1]]
-    return codes.GrayMap(k=gray.k, geometry=gray.geometry, shape=gray.shape,
-                         position_of=gray.position_of, label_at=label_at)
+    return dataclasses.replace(gray, label_at=label_at)
 
 
 def _usc_case(statistic, inputs):

@@ -10,8 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 import qfp
-from qfp.analysis import NoiseModel, worst_case_error_with_threshold
+from qfp import leakage
+from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel,
+                          worst_case_error_with_threshold)
 from qfp.cli import CSV_COLUMNS, main
+from qfp.codes import gv_binary_length
 from qfp.constellations import lattice_mu_range
 from qfp.leakage import fannes_audenaert_bound
 
@@ -77,6 +80,61 @@ class TestSolve:
         assert mu_min < mu_max
         assert report["qil_typical_subspace_bits"] == fannes_audenaert_bound(
             100000, report["m_k"], mu_min, mu_max).bits
+
+    @pytest.mark.parametrize("family", ["ring", "lattice"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("noise", ["ideal", "paper-exp"])
+    def test_design_point_is_the_curves_one(self, family, k, noise):
+        # solve reads mu, m_k and the family's bound off the curves' design
+        # point at the integer GV codeword length
+        n, delta = 100000, 0.3
+        report = json.loads(_run([
+            "solve", "--family", family, "--k", str(k), "--n", str(n),
+            "--delta", str(delta), "--noise", noise]).output)
+        opt = leakage._coherent_family_qil(
+            family, k, n, gv_binary_length(n, delta), delta, 0.01,
+            {"ideal": IDEAL_NOISE, "paper-exp": PAPER_EXP_NOISE}[noise],
+            "beamsplitter")
+        assert report["mu_launched"] == opt.mu
+        assert report["m_k"] == opt.m_k
+        bound = ("qil_majorization_bits" if family == "ring"
+                 else "qil_typical_subspace_bits")
+        assert report[bound] == opt.bound.bits
+
+    @pytest.mark.parametrize("args,golden", [
+        (["--family", "ring", "--k", "2", "--noise", "paper-exp"],
+         {"m": 842396, "m_k": 421198.0, "mu_launched": 25.58420123355756,
+          "mu_detected": 7.675260370067268, "beta_k": 0.00779368378396465,
+          "d_th": 1, "worst_case_error": 0.009999999999618309,
+          "qil_majorization_bits": 790.5356072191915,
+          "qil_typical_subspace_bits": 1189.4996958698691}),
+        (["--family", "lattice", "--k", "3"],
+         {"m": 842396, "m_k": 280798.6666666667,
+          "mu_launched": 17.470038340040862,
+          "mu_detected": 17.470038340040862, "beta_k": 0.00788768227517343,
+          "d_th": 1, "worst_case_error": 0.009999987291613522,
+          "qil_majorization_bits": None,
+          "qil_typical_subspace_bits": 1254.7836707473289}),
+    ], ids=["ring-k2-paper-exp", "lattice-k3"])
+    def test_golden_values(self, args, golden):
+        report = json.loads(_run(["solve", *args, "--n", "100000",
+                                  "--delta", "0.3"]).output)
+        for key, want in golden.items():
+            if want is None:
+                assert report[key] is None
+            else:
+                assert report[key] == pytest.approx(want, rel=1e-12), key
+
+    def test_interpolation_k_up_to_codeword_length(self):
+        # m = 530 at n = 100, delta = 0.25: k = m is the largest block
+        args = ["solve", "--family", "interpolation", "--n", "100",
+                "--delta", "0.25", "--k"]
+        assert _run([*args, "530"]).exit_code == 0
+        for k in ("531", "5000"):
+            result = CliRunner().invoke(main, [*args, k])
+            assert result.exit_code == 2
+            assert "Invalid value for '--k'" in result.output
+            assert "k <= m" in result.output
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -194,6 +252,9 @@ class TestBadInput:
         (["solve", "--family", "ring", "--k", "25"], "--k"),
         (["simulate", "--k", "25"], "--k"),
         (["ed-estimate", "--trials", "1"], "--trials"),
+        # fires before the ring's dense 2^k x 2^k spectrum is built
+        (["solve", "--family", "ring", "--k", "13"], "--k"),
+        (["solve", "--family", "ring", "--k", "24"], "--k"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)
@@ -221,6 +282,28 @@ class TestBadInput:
         result = CliRunner().invoke(main, [*args, "--config", str(cfg)])
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize("text,message", [
+        ("{bad", "Invalid value for '--config'"),
+        ("[1, 2]", "Invalid value for '--config'"),
+        ('{"k": null}', "Invalid value for config key 'k'"),
+        ('{"eta": null}', "Invalid value for config key 'eta'"),
+    ], ids=["not-json", "list", "k-null", "eta-null"])
+    def test_malformed_config_file(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_config_value_converted_like_its_flag(self, tmp_path):
+        # the string "3" passes --k's type; solve must get the integer 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": "3", "family": "lattice"}))
+        from_file = _run(["solve", "--config", str(cfg)])
+        from_flags = _run(["solve", "--k", "3", "--family", "lattice"])
+        assert from_file.exit_code == 0
+        assert from_file.output == from_flags.output
 
     def test_flag_overrides_bad_config_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp.constellations import (encode_ed, encode_lattice, encode_ring,
-                                interpolation_qubits, interpolation_signal,
+from qfp.constellations import (encode, encode_ed, interpolation_qubits, interpolation_signal,
                                 interpolation_state_vector,
                                 lattice_constellation, lattice_mu_range,
                                 ring_constellation)
@@ -38,27 +37,31 @@ class TestEncodeRing:
     def test_total_mean_photon_number(self):
         codeword = np.zeros(60, dtype=np.uint8)
         for k in (1, 2, 3):
-            amps = encode_ring(codeword, k, 7.0)
+            amps = encode(codeword, "ring", k, 7.0)
             assert np.sum(np.abs(amps) ** 2) == pytest.approx(7.0, rel=1e-12)
 
     def test_single_bit_flip_moves_one_step(self):
         k = 2
         x = np.zeros(2, dtype=np.uint8)
         y = np.array([0, 1], dtype=np.uint8)
-        ax = encode_ring(x, k, 1.0)[0]
-        ay = encode_ring(y, k, 1.0)[0]
+        ax = encode(x, "ring", k, 1.0)[0]
+        ay = encode(y, "ring", k, 1.0)[0]
         ang = abs(np.angle(ay / ax))
         assert ang == pytest.approx(2.0 * math.pi / 4, rel=1e-9)
 
     def test_first_bit_most_significant(self):
         # block [1, 0] is label 2; its Gray position differs from [0, 1]'s
-        a10 = encode_ring(np.array([1, 0], dtype=np.uint8), 2, 1.0)[0]
-        a01 = encode_ring(np.array([0, 1], dtype=np.uint8), 2, 1.0)[0]
+        a10 = encode(np.array([1, 0], dtype=np.uint8), "ring", 2, 1.0)[0]
+        a01 = encode(np.array([0, 1], dtype=np.uint8), "ring", 2, 1.0)[0]
         assert abs(a10 - a01) > 1e-9
 
     def test_padding_short_final_block(self):
-        amps = encode_ring(np.zeros(5, dtype=np.uint8), 2, 1.0)
+        amps = encode(np.zeros(5, dtype=np.uint8), "ring", 2, 1.0)
         assert amps.size == 3
+
+    def test_rejects_other_families(self):
+        with pytest.raises(ValueError, match="torus"):
+            encode(np.zeros(4, dtype=np.uint8), "torus", 2, 1.0)
 
 
 class TestLattice:
@@ -82,7 +85,7 @@ class TestLattice:
         rng = np.random.default_rng(0)
         for _ in range(20):
             codeword = rng.integers(0, 2, m).astype(np.uint8)
-            total = np.sum(np.abs(encode_lattice(codeword, k, mu)) ** 2)
+            total = np.sum(np.abs(encode(codeword, "lattice", k, mu)) ** 2)
             assert lo - 1e-9 <= total <= hi + 1e-9
 
 

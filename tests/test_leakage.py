@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from qfp.analysis import NoiseModel
-from qfp.codes import binary_entropy
+from qfp.codes import binary_entropy, gv_binary_rate
 from qfp.leakage import (_log2_dim_window, _poisson_entropy, _typical_tail,
                          asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
@@ -179,7 +179,9 @@ class TestDeltaOptimization:
         opt = optimize_delta_for_qil("ring", 2, 1e4, 0.01)
         for shift in (-0.01, 0.01):
             from qfp.leakage import _coherent_family_qil
-            probe = _coherent_family_qil("ring", 2, 1e4, opt.delta + shift,
+            delta = opt.delta + shift
+            probe = _coherent_family_qil("ring", 2, 1e4,
+                                         1e4 / gv_binary_rate(delta), delta,
                                          0.01, NoiseModel(), "beamsplitter")
             assert opt.bound.bits <= probe.bound.bits + 1e-6
 

@@ -10,7 +10,7 @@ from qfp import montecarlo
 from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
     ring_worst_case_error, solve_amplitude, worst_case_error_with_threshold
 from qfp.codes import worst_case_pair
-from qfp.constellations import ProtocolInstance, encode_ed
+from qfp.constellations import ProtocolInstance, encode, encode_ed
 from qfp.montecarlo import (TrialPlan, block_rows, derive_block_rng,
                             signal_click_probs, simulate_ed,
                             simulate_equality, wilson_interval)
@@ -31,7 +31,7 @@ def _ring_plan(k=1, m=500, delta=0.25, mu=None, trials=2000, seed=0,
     if equal:
         y = x.copy()
     plan = TrialPlan(trials=trials, master_seed=seed,
-                     protocol=ProtocolInstance(family="ring", k=k, m=m, mu=mu),
+                     protocol=ProtocolInstance(family="ring", k=k, mu=mu),
                      noise=noise, input_x=x, input_y=y)
     return plan, _model(k, m, delta, mu, noise).d_th
 
@@ -212,8 +212,7 @@ class TestEdSimulation:
     def test_rejects_non_ed_family(self):
         u, v = _unit_pair()
         plan = TrialPlan(trials=10, master_seed=0,
-                         protocol=ProtocolInstance(family="ring", k=1, m=64,
-                                                   mu=1.0),
+                         protocol=ProtocolInstance(family="ring", k=1, mu=1.0),
                          noise=IDEAL_NOISE, input_x=u, input_y=v)
         with pytest.raises(ValueError):
             simulate_ed(plan)
@@ -266,12 +265,11 @@ class TestClickProbs:
         x, y = worst_case_pair(m, 0.3, k, "even")
         mu = solve_amplitude(k, m, 0.3, 0.01, noise)
         plan = TrialPlan(trials=1, master_seed=0,
-                         protocol=ProtocolInstance(family=family, k=k, m=m,
-                                                   mu=mu),
+                         protocol=ProtocolInstance(family=family, k=k, mu=mu),
                          noise=noise, input_x=x, input_y=y)
         # the per-signal loop the broadcast call replaced
-        amps_x = montecarlo._encode(plan.protocol, x)
-        amps_y = montecarlo._encode(plan.protocol, y)
+        amps_x = encode(x, family, k, mu)
+        amps_y = encode(y, family, k, mu)
         root_eta = math.sqrt(noise.eta)
         no_click = np.array([
             _scalar_no_click_prob(a * root_eta, b * root_eta, noise.visibility)
