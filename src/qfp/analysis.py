@@ -288,12 +288,11 @@ def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
     return res if res.d_th >= 1 else replace(res, d_th=1)
 
 
-_MU_CAP_DEFAULT = 1e7
+_MU_CAP = 1e7
 
 
 def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
-                    noise: NoiseModel = IDEAL_NOISE,
-                    mu_cap: float = _MU_CAP_DEFAULT) -> float:
+                    noise: NoiseModel = IDEAL_NOISE) -> float:
     """Total mean photon number attaining worst-case error epsilon.
 
     Ideal noise inverts the closed-form ring error.  Otherwise the detected
@@ -324,9 +323,9 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     hi = max(mu_ideal, 1.0)
     while excess(hi) > 0.0:
         hi *= 2.0
-        if hi > mu_cap:
+        if hi > _MU_CAP:
             raise InfeasibleError(
-                f"error {epsilon} unattainable below mu cap {mu_cap} "
+                f"error {epsilon} unattainable below mu cap {_MU_CAP} "
                 f"(dark counts too strong)"
             )
     mu_det = optimize.brentq(excess, lo, hi, xtol=1e-12, rtol=1e-10)

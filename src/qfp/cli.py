@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -52,14 +53,6 @@ _POSITIVE = click.IntRange(min=1)
 # 2^k x 2^k DFT (592 MiB at k = 12)
 _SOLVE_K_RANGE = {"ring": (1, 12), "lattice": (2, codes.MAX_GRAY_BITS)}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
-_NOISE = click.Choice(sorted(NOISE_PRESETS))
-
-# config-only keys: noise-model fields overriding the preset's values
-_NOISE_FIELDS = {
-    "eta": click.FloatRange(0.0, 1.0, min_open=True),
-    "p_dark": click.FloatRange(0.0, 1.0, max_open=True),
-    "visibility": click.FloatRange(0.0, 1.0),
-}
 
 
 def _sig9(x: float) -> str:
@@ -71,55 +64,64 @@ def n_grid(points: int = _N_GRID_POINTS) -> np.ndarray:
     return np.logspace(3.0, 8.0, points)
 
 
-def _load_config(path: str | None) -> dict:
-    """The --config file's JSON object; each value must be one string or
-    number (click's types raise TypeError on null or a list)."""
+def _read_config(ctx: click.Context, param: click.Parameter,
+                 path: str | None) -> None:
+    """Make the --config file's JSON object the command's defaults, keyed by
+    option name.  Numbers keep their JSON text, so click converts and checks
+    each value as it would the same text given to its flag; flags still
+    win."""
     if path is None:
-        return {}
+        return
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_int=str, parse_float=str)
     except ValueError as exc:  # malformed JSON or text encoding
-        raise click.BadParameter(str(exc), param_hint="'--config'") from None
+        raise click.BadParameter(str(exc), ctx, param) from None
     if not isinstance(config, dict):
-        raise click.BadParameter("holds no JSON object", param_hint="'--config'")
+        raise click.BadParameter("holds no JSON object", ctx, param)
+    keys = sorted(p.name for p in ctx.command.params
+                  if p.name not in ("config", "out"))
     for key, val in config.items():
-        if not isinstance(val, (str, int, float)):
-            raise click.BadParameter(f"expected one value, got {json.dumps(val)}",
-                                     param_hint=f"config key '{key}'")
-    return config
-
-
-def _merge(config: dict, config_only: dict, **flags) -> dict:
-    """Flags override file values; None flags fall back to the file.  A file
-    key must be a flag or config-only key (mapped to its click type) of the
-    command, and its value must pass that type, which converts it as it
-    would the flag: all else is a usage error."""
-    ctx = click.get_current_context()
-    params = {param.name: param for param in ctx.command.params}
-    for key, val in config.items():
-        if key in config_only:
-            try:
-                config[key] = config_only[key].convert(val, None, ctx)
-            except click.BadParameter as exc:
-                exc.param_hint = f"config key '{key}'"
-                raise
-        elif key not in flags:
+        if key not in keys:
             raise click.UsageError(f"unknown config key {key!r}; this command "
-                                   f"reads {sorted([*flags, *config_only])}")
-        elif flags[key] is None:
-            config[key] = params[key].type.convert(val, params[key], ctx)
-    return {**config, **{key: val for key, val in flags.items()
-                         if val is not None}}
+                                   f"reads {keys}", ctx)
+        if not isinstance(val, str):
+            raise click.BadParameter(
+                "expected one string or number, not null, true, false, a "
+                "list or an object", ctx, param_hint=f"config key '{key}'")
+    ctx.default_map = config
 
 
-def _noise_from(params: dict) -> NoiseModel:
-    base = NOISE_PRESETS[params.get("noise", "ideal")]
-    return NoiseModel(
-        eta=params.get("eta", base.eta),
-        p_dark=params.get("p_dark", base.p_dark),
-        visibility=params.get("visibility", base.visibility),
-    )
+_SHARED_OPTIONS = [
+    click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                 is_eager=True, expose_value=False, callback=_read_config,
+                 help="JSON object of defaults for this command's options, "
+                      "keyed by option name."),
+    click.option("--noise", type=click.Choice(sorted(NOISE_PRESETS)),
+                 default=None, show_default="ideal, or the figure's in curves",
+                 help="Noise preset; --eta, --p-dark and --visibility "
+                      "override its fields."),
+    click.option("--eta", type=click.FloatRange(0.0, 1.0, min_open=True),
+                 default=None, help="Transmittivity."),
+    click.option("--p-dark", type=click.FloatRange(0.0, 1.0, max_open=True),
+                 default=None, help="Dark-count probability per signal."),
+    click.option("--visibility", type=click.FloatRange(0.0, 1.0),
+                 default=None, help="Interferometric visibility."),
+]
+
+
+def _shared_options(command):
+    """--config and the noise-model options of curves, solve and simulate."""
+    for option in reversed(_SHARED_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _noise_from(preset: str, eta, p_dark, visibility) -> NoiseModel:
+    """The named noise preset with each field that is not None replaced."""
+    fields = {"eta": eta, "p_dark": p_dark, "visibility": visibility}
+    return replace(NOISE_PRESETS[preset],
+                   **{key: val for key, val in fields.items() if val is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,31 +132,30 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main() -> None:
     """Coherent-state fingerprinting toolkit."""
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(sorted(CURVE_PRESETS)), default=None,
-              help="Figure parameter regime.")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--n-points", type=click.IntRange(min=0), default=None,
-              help=f"Grid size over [1e3, 1e8] (default {_N_GRID_POINTS}).")
+@click.option("--preset", type=click.Choice(sorted(CURVE_PRESETS)),
+              required=True, help="Figure parameter regime.")
+@click.option("--epsilon",
+              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+              default=None, show_default="the figure's",
+              help="Target worst-case error.")
+@click.option("--n-points", type=click.IntRange(min=0), default=_N_GRID_POINTS,
+              help="Grid size over [1e3, 1e8].")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
-def curves(preset, config_path, n_points, out) -> None:
+@_shared_options
+def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
+           visibility) -> None:
     """Ring-family leakage-vs-input-size curves as CSV, one row per (n, k)."""
-    params = _merge(_load_config(config_path), {
-        **_NOISE_FIELDS, "noise": _NOISE,
-        "epsilon": click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
-    }, preset=preset, n_points=n_points)
-    preset = params.get("preset")
-    if preset is None:
-        raise click.UsageError("a --preset (or config 'preset') is required")
     spec = CURVE_PRESETS[preset]
-    noise = _noise_from({"noise": spec["noise"], **params})
-    epsilon = params.get("epsilon", spec["epsilon"])
-    grid = n_grid(params.get("n_points", _N_GRID_POINTS))
+    noise = _noise_from(noise or spec["noise"], eta, p_dark, visibility)
+    if epsilon is None:
+        epsilon = spec["epsilon"]
+    grid = n_grid(n_points)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -180,46 +181,39 @@ def curves(preset, config_path, n_points, out) -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--family", type=click.Choice(["interpolation", "lattice", "ring"]),
-              default=None)
-@click.option("--k", type=_POSITIVE, default=None)
-@click.option("--n", type=_POSITIVE, default=None, help="Input size in bits.")
+              default="ring")
+@click.option("--k", type=_POSITIVE, default=1)
+@click.option("--n", type=_POSITIVE, default=1000, help="Input size in bits.")
 @click.option("--delta", type=click.FloatRange(0.0, 0.5, max_open=True),
-              default=None, help="Relative distance; the GV bound needs < 1/2.")
+              default=0.25, help="Relative distance; the GV bound needs < 1/2.")
 @click.option("--epsilon", type=click.FloatRange(0.0, 1.0, min_open=True),
-              default=None)
-@click.option("--noise", type=_NOISE, default=None, help="Noise preset name.")
+              default=0.01)
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
-def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
+@_shared_options
+def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
+          visibility) -> None:
     """Solve protocol parameters for a target error probability."""
-    p = _merge(_load_config(config_path), _NOISE_FIELDS, family=family, k=k,
-               n=n, delta=delta, epsilon=epsilon, noise=noise)
-    fam = p.get("family", "ring")
-    k = p.get("k", 1)
-    n = p.get("n", 1000)
-    delta = p.get("delta", 0.25)
-    epsilon = p.get("epsilon", 0.01)
-    nm = _noise_from(p)
+    nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     m = codes.gv_binary_length(n, delta)
-    if fam == "interpolation" and epsilon >= 1.0:
+    if family == "interpolation" and epsilon >= 1.0:
         raise click.BadParameter("the interpolation family needs epsilon < 1",
                                  param_hint="'--epsilon'")
-    if fam == "interpolation" and k > m:
+    if family == "interpolation" and k > m:
         raise click.BadParameter(f"the interpolation family needs k <= m, the "
                                  f"codeword length ({m})", param_hint="'--k'")
-    if fam in _SOLVE_K_RANGE:
-        k_min, k_max = _SOLVE_K_RANGE[fam]
+    if family in _SOLVE_K_RANGE:
+        k_min, k_max = _SOLVE_K_RANGE[family]
         if not k_min <= k <= k_max:
-            raise click.BadParameter(f"the {fam} family needs {k_min} <= k "
+            raise click.BadParameter(f"the {family} family needs {k_min} <= k "
                                      f"<= {k_max}", param_hint="'--k'")
 
-    report: dict = {"family": fam, "k": k, "n": n, "delta": delta,
+    report: dict = {"family": family, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon,
                     "noise": {"eta": nm.eta, "p_dark": nm.p_dark,
                               "visibility": nm.visibility}}
     try:
-        if fam == "interpolation":
+        if family == "interpolation":
             p_k = k / m
             r = analysis.solve_repetition(k, m, delta, p_k, epsilon)
             report.update(m=m, p_k=p_k, repetitions=r,
@@ -228,12 +222,12 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
                           qil_bits=leakage.qil_interpolation(k, m, p_k, r).bits)
         else:
             # the design point the curves use, at the integer codeword length
-            opt = leakage._coherent_family_qil(fam, k, n, m, delta, epsilon,
+            opt = leakage._coherent_family_qil(family, k, n, m, delta, epsilon,
                                                nm, "beamsplitter")
             mu, m_k = opt.mu, opt.m_k
             mu_det = mu * nm.eta
             th = analysis.worst_case_error_with_threshold(k, m, mu_det, delta, nm)
-            ring = fam == "ring"
+            ring = family == "ring"
             report.update(
                 m=m, m_k=m_k, mu_launched=mu, mu_detected=mu_det,
                 beta_k=math.sqrt(mu / m_k), d_th=th.d_th,
@@ -250,33 +244,26 @@ def solve(config_path, family, k, n, delta, epsilon, noise, out) -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--k", type=click.IntRange(1, codes.MAX_GRAY_BITS), default=None)
-@click.option("--m", type=_POSITIVE, default=None)
+@click.option("--k", type=click.IntRange(1, codes.MAX_GRAY_BITS), default=1)
+@click.option("--m", type=_POSITIVE, default=1000)
 @click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True),
-              default=None, help="Relative distance of the worst-case pair.")
-@click.option("--mu", type=click.FloatRange(min=0.0), default=None)
-@click.option("--trials", type=_POSITIVE, default=None)
-@click.option("--seed", type=_SEED, default=None)
-@click.option("--noise", type=_NOISE, default=None)
+              default=0.25, help="Relative distance of the worst-case pair.")
+@click.option("--mu", type=click.FloatRange(min=0.0), default=None,
+              show_default="solved for error 0.01",
+              help="Launched mean photon number.")
+@click.option("--trials", type=_POSITIVE, default=10000)
+@click.option("--seed", type=_SEED, default=0)
 @click.option("--strategy", type=click.Choice(["even", "consolidated"]),
-              default=None)
+              default="even")
 @click.option("--out", type=click.Path(), default=None)
-def simulate(config_path, k, m, delta, mu, trials, seed, noise, strategy,
-             out) -> None:
+@_shared_options
+def simulate(k, m, delta, mu, trials, seed, strategy, out, noise, eta, p_dark,
+             visibility) -> None:
     """Monte Carlo worst-case-pair run versus the closed-form prediction."""
-    p = _merge(_load_config(config_path), _NOISE_FIELDS, k=k, m=m,
-               delta=delta, mu=mu, trials=trials, seed=seed, noise=noise,
-               strategy=strategy)
-    k = p.get("k", 1)
-    m = p.get("m", 1000)
-    delta = p.get("delta", 0.25)
-    mu = p["mu"] if "mu" in p else analysis.solve_amplitude(
-        k, m, delta, 0.01, _noise_from(p))
-    trials = p.get("trials", 10000)
-    seed = p.get("seed", 0)
-    nm = _noise_from(p)
-    x, y = codes.worst_case_pair(m, delta, k, p.get("strategy", "even"))
+    nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
+    if mu is None:
+        mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)
+    x, y = codes.worst_case_pair(m, delta, k, strategy)
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,
         protocol=ProtocolInstance(family="ring", k=k, mu=mu),

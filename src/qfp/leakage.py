@@ -60,7 +60,7 @@ def shannon_entropy(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def lambda_interpolation(k: int, m: int, p_k: float) -> np.ndarray:
+def lambda_interpolation(k: int, p_k: float) -> np.ndarray:
     """Diagonal probability vector of one interpolation signal:
     (1 - p_k, p_k/2k, ..., p_k/2k) with 2k tail entries."""
     if not 0.0 <= p_k <= 1.0:
@@ -118,7 +118,7 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     return np.clip(vec, 0.0, None)
 
 
-def lambda_ring_series(k: int, beta_k: float, term_tol: float = 1e-18) -> np.ndarray:
+def lambda_ring_series(k: int, beta_k: float) -> np.ndarray:
     """Direct factorial-series evaluation of lambda_ring, for cross-checks."""
     b2 = abs(beta_k) ** 2
     two_k = 1 << k
@@ -128,7 +128,7 @@ def lambda_ring_series(k: int, beta_k: float, term_tol: float = 1e-18) -> np.nda
     while True:
         term = math.exp(log_term)
         vec[h % two_k] += term
-        if h > b2 and term < term_tol:
+        if h > b2 and term < 1e-18:
             break
         h += 1
         log_term += math.log(b2) - math.log(h) if b2 > 0 else -math.inf
@@ -204,7 +204,7 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
                                 subterms=terms)
 
 
-def _poisson_entropy(mu: float, tol: float = 1e-16) -> float:
+def _poisson_entropy(mu: float) -> float:
     """Entropy in bits of a Poisson(mu) variable, by direct summation."""
     if mu == 0.0:
         return 0.0
@@ -215,7 +215,7 @@ def _poisson_entropy(mu: float, tol: float = 1e-16) -> float:
         p = math.exp(log_p)
         if p > 0.0:
             h -= p * log_p
-        if j > mu and p < tol:
+        if j > mu and p < 1e-16:
             break
         j += 1
         log_p += math.log(mu) - math.log(j)
@@ -223,7 +223,7 @@ def _poisson_entropy(mu: float, tol: float = 1e-16) -> float:
 
 
 def asymptotic_bound(n: float, m_k: float, mu_min: float, mu_max: float,
-                     Delta: int, tol: float = 1e-12) -> LeakageBound:
+                     Delta: int) -> LeakageBound:
     """Telescoping-window leakage bound with O(log m_k) scaling.
 
     Splits the photon-number line into windows of width Delta around
@@ -244,7 +244,7 @@ def asymptotic_bound(n: float, m_k: float, mu_min: float, mu_max: float,
                + math.log2(Delta))
         term = math.exp(log_pr) * dim
         total += term
-        if term < tol:
+        if term < 1e-12:
             break
         j += 1
         if j > 10**6:
@@ -257,11 +257,10 @@ def asymptotic_bound(n: float, m_k: float, mu_min: float, mu_max: float,
     )
 
 
-def classical_reference(n: float, c: float = 1.0) -> LeakageBound:
-    """Reference-only classical leakage curve c * sqrt(n); the constant is a
-    documented placeholder, not a cited bound."""
-    if c <= 0.0:
-        raise ValueError(f"c must be > 0, got {c}")
+def classical_reference(n: float) -> LeakageBound:
+    """Reference-only classical leakage curve c * sqrt(n); the constant c = 1
+    is a documented placeholder, not a cited bound."""
+    c = 1.0
     return LeakageBound(bits=c * math.sqrt(n), method="classical_ref",
                         subterms={"constant": c, "reference_only": True})
 

@@ -123,6 +123,12 @@ def beamsplitter_click_probs(state_a: TruncatedFockState,
     return 1.0 - p_no_dark, 1.0 - p_no_light
 
 
+def _qubit_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(1 - p), +-sqrt(p)): two qubits with overlap 1 - 2p."""
+    return (np.array([math.sqrt(1.0 - p), math.sqrt(p)]),
+            np.array([math.sqrt(1.0 - p), -math.sqrt(p)]))
+
+
 def qubit_from_coherent(beta_0: complex, beta_1: complex
                         ) -> tuple[np.ndarray, np.ndarray, float]:
     """Qubit pair with the same pairwise overlap magnitude as |beta_0>,
@@ -130,9 +136,7 @@ def qubit_from_coherent(beta_0: complex, beta_1: complex
     b = (beta_0 - beta_1)/2."""
     b2 = abs(0.5 * (beta_0 - beta_1)) ** 2
     p = math.exp(-b2) * math.sinh(b2)
-    q0 = np.array([math.sqrt(1.0 - p), math.sqrt(p)])
-    q1 = np.array([math.sqrt(1.0 - p), -math.sqrt(p)])
-    return q0, q1, p
+    return *_qubit_pair(p), p
 
 
 def _usd_povm(u_plus: np.ndarray, u_minus: np.ndarray
@@ -194,8 +198,7 @@ def usc_outcome_probs(a: int, b: int, p: float) -> dict[str, float]:
     for qubits with excitation parameter p."""
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("a and b must be bits")
-    qs = (np.array([math.sqrt(1.0 - p), math.sqrt(p)]),
-          np.array([math.sqrt(1.0 - p), -math.sqrt(p)]))
+    qs = _qubit_pair(p)
     joint = np.kron(qs[a], qs[b]).astype(complex)
     povm = usc_povm(p)
     return {name: float(np.real(np.vdot(joint, op @ joint)))
@@ -280,14 +283,14 @@ def interp_measurement_oracle(codeword_x: np.ndarray, codeword_y: np.ndarray,
 
 
 def optimal_projector_error(states_equal: list[np.ndarray], probe_x: np.ndarray,
-                            probe_y: np.ndarray, rank_tol: float = 1e-10) -> float:
+                            probe_y: np.ndarray) -> float:
     """Error of the optimal one-sided equality measurement on |psi_x psi_y>.
 
     Projects onto the span of the equal-input product states {|psi psi>}.
     """
     stack = np.stack([np.kron(s, s) for s in states_equal]).astype(complex)
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    basis = vh[svals > rank_tol * svals[0]]
+    basis = vh[svals > 1e-10 * svals[0]]
     probe = np.kron(probe_x, probe_y).astype(complex)
     coeffs = basis.conj() @ probe
     return float(np.real(np.vdot(coeffs, coeffs)))

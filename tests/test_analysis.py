@@ -375,7 +375,7 @@ class TestSolveAmplitude:
         # ten signals cannot beat a 0.49 dark-count floor down to 1e-12
         noise = NoiseModel(eta=0.3, p_dark=0.49)
         with pytest.raises(InfeasibleError):
-            solve_amplitude(1, 10, 0.25, 1e-12, noise, mu_cap=1e4)
+            solve_amplitude(1, 10, 0.25, 1e-12, noise)
 
 
 class TestQaryComparison:

@@ -272,9 +272,9 @@ class TestBadInput:
         (["curves"], {"preset": "fig2", "family": "lattice", "n_point": 0,
                       "n_points": 1},
          "unknown config key 'family'"),
-        (["solve"], {"eta": 2.0}, "Invalid value for config key 'eta'"),
+        (["solve"], {"eta": 2.0}, "Invalid value for '--eta'"),
         (["curves", "--preset", "fig2"], {"epsilon": 1.5},
-         "Invalid value for config key 'epsilon'"),
+         "Invalid value for '--epsilon'"),
     ], ids=["unknown-keys", "eta", "epsilon"])
     def test_bad_config_file(self, tmp_path, args, config, message):
         cfg = tmp_path / "cfg.json"
@@ -288,7 +288,11 @@ class TestBadInput:
         ("[1, 2]", "Invalid value for '--config'"),
         ('{"k": null}', "Invalid value for config key 'k'"),
         ('{"eta": null}', "Invalid value for config key 'eta'"),
-    ], ids=["not-json", "list", "k-null", "eta-null"])
+        # read as its flag reads the same text, not truncated by int()
+        ('{"n": 100000.5}', "Invalid value for '--n'"),
+        # a JSON bool is no number, though Python's bool is an int
+        ('{"k": true}', "Invalid value for config key 'k'"),
+    ], ids=["not-json", "list", "k-null", "eta-null", "n-fraction", "k-bool"])
     def test_malformed_config_file(self, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -305,11 +309,37 @@ class TestBadInput:
         assert from_file.exit_code == 0
         assert from_file.output == from_flags.output
 
+    @pytest.mark.parametrize("args,values", [
+        (["solve"], {"family": "ring", "k": 2, "n": 100000, "delta": 0.3,
+                     "epsilon": 0.02}),
+        (["simulate"], {"k": 2, "m": 1000, "delta": 0.25, "trials": 2000,
+                        "seed": 5, "strategy": "consolidated"}),
+        (["curves", "--n-points", "2"], {"preset": "fig3", "epsilon": 0.02}),
+    ], ids=["solve", "simulate", "curves"])
+    def test_config_run_equals_flag_run(self, tmp_path, args, values):
+        values = {**values, "noise": "paper-exp", "eta": 0.5, "p_dark": 1e-9,
+                  "visibility": 0.99}
+        flags = [tok for key, val in values.items()
+                 for tok in (f"--{key.replace('_', '-')}", str(val))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        from_flags = _run([*args, *flags])
+        from_file = _run([*args, "--config", str(cfg)])
+        assert from_flags.exit_code == 0
+        assert from_file.exit_code == 0
+        assert from_file.output == from_flags.output
+
     def test_flag_overrides_bad_config_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.9}))
         result = _run(["solve", "--config", str(cfg), "--delta", "0.25"])
         assert result.exit_code == 0
+
+
+def test_help_shows_defaults():
+    result = _run(["solve", "--help"])
+    n_option = result.output.split("--n ")[1].split("--delta")[0]
+    assert "default: 1000" in n_option
 
 
 def test_import_leaves_out_scipy_stats():

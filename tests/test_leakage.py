@@ -31,7 +31,7 @@ class TestShannonEntropy:
 
 class TestLambdaVectors:
     def test_interpolation_shape_and_sum(self):
-        lam = lambda_interpolation(3, 30, 0.1)
+        lam = lambda_interpolation(3, 0.1)
         assert lam.size == 7
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert lam[0] == pytest.approx(0.9)
@@ -61,7 +61,7 @@ class TestMajorizationBounds:
         # the closed form against the entropy of the materialized vector
         got = qil_interpolation(k, m, p_k).subterms["per_signal_entropy"]
         want = shannon_entropy(lambda_interpolation(
-            k, m, k / m if p_k is None else p_k))
+            k, k / m if p_k is None else p_k))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_interpolation_below_analytic_cap(self):
