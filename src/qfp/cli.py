@@ -48,9 +48,22 @@ CURVE_PRESETS = {
 
 _N_GRID_POINTS = 11
 
+
+class _FiniteFloat(click.FloatRange):
+    """A click.FloatRange that also rejects nan, which passes every range
+    comparison, and +-inf, which passes an unbounded side."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
 _POSITIVE = click.IntRange(min=1)
 # (min, max) k of `solve`: the ring's majorization bound builds a dense
-# 2^k x 2^k DFT (592 MiB at k = 12)
+# 2^k x 2^k DFT (592 MiB at k = 12 while it is built).  The 256 MiB k = 12
+# table then stays cached for the process's lifetime, below that peak.
 _SOLVE_K_RANGE = {"ring": (1, 12), "lattice": (2, codes.MAX_GRAY_BITS)}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
 
@@ -101,11 +114,11 @@ _SHARED_OPTIONS = [
                  default=None, show_default="ideal, or the figure's in curves",
                  help="Noise preset; --eta, --p-dark and --visibility "
                       "override its fields."),
-    click.option("--eta", type=click.FloatRange(0.0, 1.0, min_open=True),
+    click.option("--eta", type=_FiniteFloat(0.0, 1.0, min_open=True),
                  default=None, help="Transmittivity."),
-    click.option("--p-dark", type=click.FloatRange(0.0, 1.0, max_open=True),
+    click.option("--p-dark", type=_FiniteFloat(0.0, 1.0, max_open=True),
                  default=None, help="Dark-count probability per signal."),
-    click.option("--visibility", type=click.FloatRange(0.0, 1.0),
+    click.option("--visibility", type=_FiniteFloat(0.0, 1.0),
                  default=None, help="Interferometric visibility."),
 ]
 
@@ -141,7 +154,7 @@ def main() -> None:
 @click.option("--preset", type=click.Choice(sorted(CURVE_PRESETS)),
               required=True, help="Figure parameter regime.")
 @click.option("--epsilon",
-              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+              type=_FiniteFloat(0.0, 1.0, min_open=True, max_open=True),
               default=None, show_default="the figure's",
               help="Target worst-case error.")
 @click.option("--n-points", type=click.IntRange(min=0), default=_N_GRID_POINTS,
@@ -185,9 +198,9 @@ def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
               default="ring")
 @click.option("--k", type=_POSITIVE, default=1)
 @click.option("--n", type=_POSITIVE, default=1000, help="Input size in bits.")
-@click.option("--delta", type=click.FloatRange(0.0, 0.5, max_open=True),
+@click.option("--delta", type=_FiniteFloat(0.0, 0.5, max_open=True),
               default=0.25, help="Relative distance; the GV bound needs < 1/2.")
-@click.option("--epsilon", type=click.FloatRange(0.0, 1.0, min_open=True),
+@click.option("--epsilon", type=_FiniteFloat(0.0, 1.0, min_open=True),
               default=0.01)
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
 @_shared_options
@@ -196,12 +209,23 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     """Solve protocol parameters for a target error probability."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     m = codes.gv_binary_length(n, delta)
-    if family == "interpolation" and epsilon >= 1.0:
-        raise click.BadParameter("the interpolation family needs epsilon < 1",
-                                 param_hint="'--epsilon'")
-    if family == "interpolation" and k > m:
-        raise click.BadParameter(f"the interpolation family needs k <= m, the "
-                                 f"codeword length ({m})", param_hint="'--k'")
+    if family == "interpolation":
+        if epsilon >= 1.0:
+            raise click.BadParameter("the interpolation family needs "
+                                     "epsilon < 1", param_hint="'--epsilon'")
+        # its error model takes no noise: a noisy setting would be reported
+        # but not applied
+        for opt, val in (("--noise", None if noise == "ideal" else noise),
+                         ("--eta", eta), ("--p-dark", p_dark),
+                         ("--visibility", visibility)):
+            if val is not None:
+                raise click.BadParameter("the interpolation family is "
+                                         "modelled without noise",
+                                         param_hint=f"'{opt}'")
+        if k > m:
+            raise click.BadParameter(f"the interpolation family needs k <= "
+                                     f"m, the codeword length ({m})",
+                                     param_hint="'--k'")
     if family in _SOLVE_K_RANGE:
         k_min, k_max = _SOLVE_K_RANGE[family]
         if not k_min <= k <= k_max:
@@ -246,9 +270,9 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
 @main.command()
 @click.option("--k", type=click.IntRange(1, codes.MAX_GRAY_BITS), default=1)
 @click.option("--m", type=_POSITIVE, default=1000)
-@click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True),
+@click.option("--delta", type=_FiniteFloat(0.0, 1.0, min_open=True),
               default=0.25, help="Relative distance of the worst-case pair.")
-@click.option("--mu", type=click.FloatRange(min=0.0), default=None,
+@click.option("--mu", type=_FiniteFloat(min=0.0), default=None,
               show_default="solved for error 0.01",
               help="Launched mean photon number.")
 @click.option("--trials", type=_POSITIVE, default=10000)
@@ -304,7 +328,7 @@ def verify(suite, out) -> None:
 
 
 @main.command()
-@click.option("--p", "p_exc", type=click.FloatRange(0.0, 1.0), required=True,
+@click.option("--p", "p_exc", type=_FiniteFloat(0.0, 1.0), required=True,
               help="Qubit excitation parameter; <q0|q1> = 1 - 2p.")
 @click.option("--out", type=click.Path(), default=None)
 def usc(p_exc, out) -> None:
@@ -320,7 +344,7 @@ def usc(p_exc, out) -> None:
 
 @main.command("ed-estimate")
 @click.option("--dimension", type=_POSITIVE, default=64)
-@click.option("--alpha2", type=click.FloatRange(min=0.0, min_open=True),
+@click.option("--alpha2", type=_FiniteFloat(min=0.0, min_open=True),
               default=0.5,
               help="Total mean photon number per run; keep <= 1 so threshold "
                    "clicks track photon counts.")

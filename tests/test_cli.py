@@ -72,6 +72,11 @@ class TestSolve:
         assert report["repetitions"] >= 1
         assert report["worst_case_error"] <= 0.01
 
+    def test_interpolation_accepts_ideal_noise(self):
+        args = ["solve", "--family", "interpolation", "--k", "2", "--n", "100"]
+        assert (_run([*args, "--noise", "ideal"]).output
+                == _run(args).output)
+
     def test_lattice_bound_uses_lattice_mu_range(self):
         result = _run(["solve", "--family", "lattice", "--k", "3", "--n",
                        "100000", "--delta", "0.3", "--epsilon", "0.01"])
@@ -255,6 +260,19 @@ class TestBadInput:
         # fires before the ring's dense 2^k x 2^k spectrum is built
         (["solve", "--family", "ring", "--k", "13"], "--k"),
         (["solve", "--family", "ring", "--k", "24"], "--k"),
+        # nan passes every range comparison, inf an unbounded side
+        (["solve", "--delta", "nan"], "--delta"),
+        (["simulate", "--mu", "inf", "--trials", "10"], "--mu"),
+        (["simulate", "--eta", "nan"], "--eta"),
+        (["usc", "--p", "nan"], "--p"),
+        (["ed-estimate", "--alpha2", "inf"], "--alpha2"),
+        # the interpolation family's error model takes no noise
+        (["solve", "--family", "interpolation", "--noise", "paper-exp"],
+         "--noise"),
+        (["solve", "--family", "interpolation", "--eta", "0.5"], "--eta"),
+        (["solve", "--family", "interpolation", "--p-dark", "0"], "--p-dark"),
+        (["solve", "--family", "interpolation", "--visibility", "1"],
+         "--visibility"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)
@@ -275,7 +293,8 @@ class TestBadInput:
         (["solve"], {"eta": 2.0}, "Invalid value for '--eta'"),
         (["curves", "--preset", "fig2"], {"epsilon": 1.5},
          "Invalid value for '--epsilon'"),
-    ], ids=["unknown-keys", "eta", "epsilon"])
+        (["solve"], {"delta": "nan"}, "Invalid value for '--delta'"),
+    ], ids=["unknown-keys", "eta", "epsilon", "delta-nan"])
     def test_bad_config_file(self, tmp_path, args, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

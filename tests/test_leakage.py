@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qfp.analysis import NoiseModel
@@ -29,6 +31,19 @@ class TestShannonEntropy:
             shannon_entropy(np.array([0.5, 0.2]))
 
 
+def _lambda_ring_inline(k, beta_k):
+    """lambda_ring with its roots of unity and DFT phase matrix built on
+    every call, the reference for the cached table."""
+    b2 = abs(beta_k) ** 2
+    two_k = 1 << k
+    j = np.arange(two_k)
+    omega_j = np.exp(2j * np.pi * j / two_k)
+    gen = np.exp(b2 * (omega_j - 1.0))
+    phases = np.exp(-2j * np.pi * np.outer(j, j) / two_k)
+    vec = (phases @ gen).real / two_k
+    return np.clip(vec, 0.0, None)
+
+
 class TestLambdaVectors:
     def test_interpolation_shape_and_sum(self):
         lam = lambda_interpolation(3, 0.1)
@@ -43,6 +58,14 @@ class TestLambdaVectors:
         got = lambda_ring(k, beta)
         want = lambda_ring_series(k, beta)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ring_equals_inline_table(self, k):
+        # the cached DFT table gives the same bits as one built per call
+        for b2 in np.logspace(-12.0, 2.0, 29):
+            beta = math.sqrt(b2)
+            assert np.array_equal(lambda_ring(k, beta),
+                                  _lambda_ring_inline(k, beta))
 
     def test_ring_sums_to_one(self):
         for k in (1, 4, 8):
@@ -86,11 +109,16 @@ def _window_bits(n, m_k, mu_min, mu_max, radius, eps):
             + binary_entropy(gamma))
 
 
-def _brute_force_minimum(n, m_k, mu_min, mu_max, max_radius=2000):
-    """(bits, radius) minimized over every radius 1..max_radius whose tail
-    bound is below 1/2, with the tail bound as the budget."""
+# the lattice's delta-grid edges reach an optimal radius of 2036; the
+# brute force is a true minimum only when dim(_BRUTE_MAX_RADIUS) reaches it
+_BRUTE_MAX_RADIUS = 3000
+
+
+def _brute_force_minimum(n, m_k, mu_min, mu_max):
+    """(bits, radius) minimized over every radius 1.._BRUTE_MAX_RADIUS whose
+    tail bound is below 1/2, with the tail bound as the budget."""
     candidates = []
-    for radius in range(1, max_radius + 1):
+    for radius in range(1, _BRUTE_MAX_RADIUS + 1):
         eps = _typical_tail(mu_min, mu_max, radius)
         if eps < 0.5:
             candidates.append(
@@ -106,6 +134,16 @@ def _fixed_budget_bits(n, m_k, mu_min, mu_max, eps):
     return _window_bits(n, m_k, mu_min, mu_max, radius, eps)
 
 
+def _assert_equals_brute_force(n, m_k, mu_min, mu_max):
+    bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
+    bits, radius = _brute_force_minimum(n, m_k, mu_min, mu_max)
+    assert _log2_dim_window(mu_max, mu_min, _BRUTE_MAX_RADIUS, m_k) >= bits
+    assert bound.bits == bits
+    assert bound.subterms["window_radius"] == radius
+    assert bound.subterms["eps_prime"] == _typical_tail(mu_min, mu_max, radius)
+    return bound
+
+
 class TestFannesAudenaert:
     @pytest.mark.parametrize("n,m_k,mu_min,mu_max", [
         (1e4, 1e4, 8.0, 8.0),
@@ -116,17 +154,26 @@ class TestFannesAudenaert:
         # criterion 9 at n = 1e8: ring k = 2 under paper-exp at its
         # optimal distance
         (1e8, 2034991724.6037874, 26.511637264483028, 26.511637264483028),
+        # lattice design points: the first radius below 1/2 is 253 or 361,
+        # the optimum 253 (the first), 1292 and 2036
+        (1e3, 500.737603278524, 23048.853778024848, 23048.853778024848),
+        (1e5, 33382.50688523493, 17470.212782256378, 87351.0639112819),
+        (1e8, 33382506.885234933, 17470.03834004744, 87350.1917002372),
     ])
     def test_equals_brute_force_radius_minimum(self, n, m_k, mu_min, mu_max):
-        bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
-        bits, radius = _brute_force_minimum(n, m_k, mu_min, mu_max)
-        assert bound.bits == bits
-        assert bound.subterms["window_radius"] == radius
-        assert bound.subterms["eps_prime"] == _typical_tail(mu_min, mu_max,
-                                                            radius)
+        bound = _assert_equals_brute_force(n, m_k, mu_min, mu_max)
         for eps in (1e-10, 1e-7, 1e-5, 1e-3, 1e-1):
             assert bound.bits <= _fixed_budget_bits(n, m_k, mu_min, mu_max,
                                                     eps)
+
+    @given(n=st.floats(min_value=1e3, max_value=1e8),
+           m_k=st.floats(min_value=1.0, max_value=1e10),
+           mu=st.lists(st.floats(min_value=0.0, max_value=1e5),
+                       min_size=2, max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_property_equals_brute_force(self, n, m_k, mu):
+        mu_min, mu_max = sorted(mu)
+        _assert_equals_brute_force(n, m_k, mu_min, mu_max)
 
     def test_monotone_in_photon_number(self):
         n, m_k = 1e4, 1e4
