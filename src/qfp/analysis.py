@@ -40,11 +40,9 @@ __all__ = [
     "optimal_threshold",
     "worst_case_error_with_threshold",
     "solve_amplitude",
-    "qary_ring_error",
     "gray_beats_qary",
     "optimal_measurement_error_lb",
     "ed_estimate",
-    "ed_repetition_plan",
 ]
 
 
@@ -127,21 +125,43 @@ def interp_worst_case_error(k: int, m: int, delta: float, p_k: float, r: int) ->
     return per_full ** (full * r) * per_part ** r
 
 
+def _first_true(pred, cap: int | None = None) -> int:
+    """Smallest t >= 1 with pred(t), for a pred that is false below some t
+    and true from it on.
+
+    Gallops over t = 1, 2, 4, ... and then bisects the last doubling
+    interval, so a first true t costs O(log t) calls of pred.  ``cap`` is a
+    t where pred is known to hold: it bounds the search and is never
+    evaluated.
+    """
+    lo, hi = 0, 1
+    while (cap is None or hi < cap) and not pred(hi):
+        lo, hi = hi, 2 * hi
+    if cap is not None:
+        hi = min(hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def solve_repetition(k: int, m: int, delta: float, p_k: float, epsilon: float) -> int:
-    """Minimal repetition number r with interp_worst_case_error <= epsilon."""
+    """Minimal repetition number r with interp_worst_case_error <= epsilon.
+
+    The error does not increase in r, so ``_first_true`` finds r by
+    galloping and bisection; a per-copy error that underflows to 0 gives 1.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    per_copy = interp_worst_case_error(k, m, delta, p_k, 1)
-    if per_copy >= 1.0:
+    if interp_worst_case_error(k, m, delta, p_k, 1) >= 1.0:
         raise InfeasibleError(
             "per-copy factor is 1 (p_k = 0 or delta = 0); epsilon unattainable"
         )
-    r = max(1, math.ceil(math.log(epsilon) / math.log(per_copy) - 1e-12))
-    while r > 1 and interp_worst_case_error(k, m, delta, p_k, r - 1) <= epsilon:
-        r -= 1
-    while interp_worst_case_error(k, m, delta, p_k, r) > epsilon:
-        r += 1
-    return r
+    return _first_true(
+        lambda r: interp_worst_case_error(k, m, delta, p_k, r) <= epsilon)
 
 
 def ring_error_exponent(k: int, delta: float) -> float:
@@ -237,10 +257,11 @@ def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     The false-positive tail is nonincreasing and the false-negative tail
     nondecreasing in t, so the global minimum sits next to the crossing:
     the smallest t where the false-positive tail drops to (or below) the
-    false-negative one.  The search gallops over t = 1, 2, 4, ... and then
-    bisects the last doubling interval, so it costs O(log t) tail pairs for
-    a crossing at t; with few expected clicks (small p_E*m_k) that is a
-    handful, against O(log m_k) for bisecting all of [0, m_k + 1].
+    false-negative one.  ``_first_true`` finds it by galloping over
+    t = 1, 2, 4, ... and bisecting the last doubling interval, capped at
+    m_k + 1, so it costs O(log t) tail pairs for a crossing at t; with few
+    expected clicks (small p_E*m_k) that is a handful, against O(log m_k)
+    for bisecting all of [0, m_k + 1].
     """
     if not 0.0 <= p_E <= p_D <= 1.0:
         raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
@@ -255,16 +276,7 @@ def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
 
     # t = 0 never crosses (log sf = 0 > log cdf = -inf) and t = m_k + 1
     # always does (log sf = -inf <= log cdf = 0)
-    lo, hi = 0, 1
-    while hi <= m_k and not crosses(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, m_k + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crosses(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = _first_true(crosses, cap=m_k + 1)
     candidates = {max(0, hi - 1), hi, min(m_k + 1, hi + 1)}
     log_err, best = min((max(tails(t)), t) for t in candidates)
     return ThresholdResult(d_th=best, worst_case_error=math.exp(log_err),
@@ -332,15 +344,6 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     return mu_det / noise.eta
 
 
-def qary_ring_error(q: int, mu: float, delta_q: float) -> float:
-    """Worst-case error of the q-ary ring protocol."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if not 0.0 <= delta_q < 1.0 - 1.0 / q:
-        raise ValueError(f"delta_q must lie in [0, 1 - 1/q), got {delta_q}")
-    return math.exp(-mu * delta_q * (1.0 - math.cos(2.0 * math.pi / q)))
-
-
 _DELTA_FLOOR = 1e-12
 
 
@@ -369,9 +372,9 @@ def optimal_measurement_error_lb(overlap: float) -> float:
 
 
 def ed_estimate(clicks_dark: np.ndarray, clicks_light: np.ndarray,
-                alpha: complex, runs: int = 1) -> float | np.ndarray:
+                alpha: complex) -> float | np.ndarray:
     """Squared-distance estimate 2 - (N_light - N_dark)/|alpha|^2 from total
-    click counts, normalized per run.
+    click counts.
 
     The totals sum the last axis (the modes): a 1-D pair of click vectors
     gives one estimate, a (trials, modes) pair one per trial.  Uses
@@ -380,21 +383,6 @@ def ed_estimate(clicks_dark: np.ndarray, clicks_light: np.ndarray,
     """
     if abs(alpha) == 0.0:
         raise ValueError("alpha must be nonzero")
-    n_dark = np.sum(clicks_dark, axis=-1) / runs
-    n_light = np.sum(clicks_light, axis=-1) / runs
+    n_dark = np.sum(clicks_dark, axis=-1)
+    n_light = np.sum(clicks_light, axis=-1)
     return 2.0 - (n_light - n_dark) / abs(alpha) ** 2
-
-
-# Hoeffding-style constant for the run count: per-run increments of the
-# distance estimator are bounded, and a factor 2 covers the considered
-# weak-amplitude operating points.
-ED_PLAN_CONSTANT = 2.0
-
-
-def ed_repetition_plan(epsilon_add: float, delta_fail: float) -> int:
-    """Number of runs to estimate the squared distance to within epsilon_add
-    except with probability delta_fail."""
-    if not 0.0 < epsilon_add < 1.0 or not 0.0 < delta_fail < 1.0:
-        raise ValueError("epsilon_add and delta_fail must lie in (0, 1)")
-    return max(1, math.ceil(
-        ED_PLAN_CONSTANT * math.log(2.0 / delta_fail) / epsilon_add ** 2))

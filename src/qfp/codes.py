@@ -1,5 +1,6 @@
-"""Entropy functions, Gilbert-Varshamov length solvers, Gray codes, and
-adversarial codeword-pair generators.
+"""Entropy functions, the binary Gilbert-Varshamov length solver and the
+q-ary Gilbert-Varshamov rate, Gray codes, and adversarial codeword-pair
+generators.
 
 No actual error-correcting code is ever constructed: every protocol here
 only needs the minimum distance of the code, so codewords are produced
@@ -20,7 +21,6 @@ __all__ = [
     "gv_binary_length",
     "gv_binary_rate",
     "gv_qary_rate",
-    "gv_qary_length",
     "ring_gray",
     "lattice_gray",
     "worst_case_pair",
@@ -75,16 +75,6 @@ def gv_qary_rate(delta_q: float, q: int) -> float:
     if not 0.0 <= delta_q < 1.0 - 1.0 / q:
         raise ValueError(f"q-ary GV bound requires 0 <= delta < 1 - 1/q, got {delta_q}")
     return math.log2(q) - delta_q * math.log2(q - 1) - binary_entropy(delta_q)
-
-
-def gv_qary_length(n: int, delta_q: float, q: int) -> int:
-    """Smallest q-ary codeword length m_q with n/m_q <= GV rate."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rate = gv_qary_rate(delta_q, q)
-    if rate <= 0.0:
-        raise ValueError(f"no finite length for delta_q={delta_q}, q={q}")
-    return math.ceil(n / rate - 1e-12)
 
 
 def _reflected_gray(k: int) -> np.ndarray:

@@ -37,10 +37,6 @@ class Constellation:
     points: np.ndarray = field(repr=False)
     labels: GrayMap
 
-    @property
-    def per_signal_mean_photons(self) -> np.ndarray:
-        return np.abs(self.points) ** 2
-
 
 @dataclass(frozen=True)
 class ProtocolInstance:
@@ -126,7 +122,7 @@ def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:
     beta_rms = _signal_amplitude(m, k, mu)
     const = lattice_constellation(k, beta_rms)
     n_signals = -(-m // k)
-    intensities = const.per_signal_mean_photons
+    intensities = np.abs(const.points) ** 2
     return (n_signals * float(intensities.min()),
             n_signals * float(intensities.max()))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel,
+from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel, _first_true,
                        ring_error_exponent, solve_amplitude)
 from .codes import binary_entropy, gv_binary_rate
 from .constellations import lattice_mu_range
@@ -197,28 +197,17 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
     [tail(r), tail(r - 1)) selects r, and 2 n g + h(g) increases in g for
     every double g < 1 once n >= 27 (callers use n >= 1e3).  Radii with
     tail(r) >= 1/2 admit no budget; tail(r) does not increase in r, so the
-    scan starts at the first radius below 1/2, found by galloping and
-    bisection with the same tail function.  It stops once dim(r) alone
-    reaches the best bound, which is exact: dim(r) increases strictly in r,
-    the rest is >= 0.  For the same reason h(g) is skipped where
-    dim(r) + 2 n g already reaches the best bound.
+    scan starts at the first radius below 1/2, which ``_first_true`` finds
+    by galloping and bisection with the same tail function.  It stops once
+    dim(r) alone reaches the best bound, which is exact: dim(r) increases
+    strictly in r, the rest is >= 0.  For the same reason h(g) is skipped
+    where dim(r) + 2 n g already reaches the best bound.
     """
     if not 0.0 <= mu_min <= mu_max < math.inf:
         raise ValueError(f"bad photon range [{mu_min}, {mu_max}]")
-    # gallop to a radius below 1/2, then bisect: tail(lo) >= 1/2 unless
-    # lo = 0, tail(hi) < 1/2
-    hi = 1
-    while _typical_tail(mu_min, mu_max, hi) >= 0.5:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _typical_tail(mu_min, mu_max, mid) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
+    first = _first_true(lambda r: _typical_tail(mu_min, mu_max, r) < 0.5)
     best = None  # (bits, radius, eps', dimension, continuity, h)
-    for radius in itertools.count(hi):
+    for radius in itertools.count(first):
         dim_term = _log2_dim_window(mu_max, mu_min, radius, m_k)
         if best is not None and dim_term >= best[0]:
             break

@@ -153,6 +153,9 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     protocol = plan.protocol
     if protocol.family not in ("ed_real", "ed_complex"):
         raise ValueError(f"not an ED family: {protocol.family!r}")
+    if plan.trials < 2:
+        raise ValueError(f"simulate_ed needs >= 2 trials for the sample "
+                         f"standard error, got {plan.trials}")
     variant = "real" if protocol.family == "ed_real" else "complex"
     amps_u = encode_ed(plan.input_x, protocol.alpha, variant)
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)

@@ -14,13 +14,14 @@ from scipy import stats
 from qfp import checks
 from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
                           ThresholdResult, _use_poisson, ed_estimate,
-                          ed_repetition_plan, experimental_click_probs,
+                          experimental_click_probs, gray_beats_qary,
                           interp_nd_prob, interp_worst_case_error,
                           log_binom_cdf, log_binom_sf, no_click_prob,
                           optimal_measurement_error_lb, optimal_threshold,
-                          qary_ring_error, ring_error_exponent,
-                          ring_worst_case_error, solve_amplitude,
-                          solve_repetition, worst_case_error_with_threshold)
+                          ring_error_exponent, ring_worst_case_error,
+                          solve_amplitude, solve_repetition,
+                          worst_case_error_with_threshold)
+from qfp.codes import gv_binary_rate, gv_qary_rate
 from qfp.constellations import ring_constellation
 
 
@@ -58,11 +59,20 @@ class TestInterpolation:
             assert err <= 2.0 ** (-delta * r) + 1e-12
 
     def test_solve_repetition_minimal(self):
-        k, m, delta, p_k, eps = 3, 60, 0.25, 0.05, 0.01
-        r = solve_repetition(k, m, delta, p_k, eps)
-        assert interp_worst_case_error(k, m, delta, p_k, r) <= eps
-        if r > 1:
-            assert interp_worst_case_error(k, m, delta, p_k, r - 1) > eps
+        # one function over all cases, so the test keeps its id
+        cases = [
+            (3, 60, 0.25, 0.05, 0.01),
+            # the per-copy error is 0 (p_k = 1; 0.25^625 underflows): r = 1
+            (1, 60, 0.25, 1.0, 0.01),
+            (2, 5000, 0.25, 1.0, 0.01),
+            # r = 5,508,989
+            (8, 8, 1e-4, 0.05, 1e-12),
+        ]
+        for k, m, delta, p_k, eps in cases:
+            r = solve_repetition(k, m, delta, p_k, eps)
+            case = (k, m, delta, p_k, eps, r)
+            assert interp_worst_case_error(k, m, delta, p_k, r) <= eps, case
+            assert interp_worst_case_error(k, m, delta, p_k, r - 1) > eps, case
 
     def test_solve_repetition_infeasible(self):
         with pytest.raises(InfeasibleError):
@@ -379,13 +389,23 @@ class TestSolveAmplitude:
 
 
 class TestQaryComparison:
-    def test_qary_error_form(self):
-        assert qary_ring_error(4, 10.0, 0.3) == pytest.approx(
-            math.exp(-10.0 * 0.3 * (1.0 - math.cos(math.pi / 2))), rel=1e-12)
-
     @pytest.mark.parametrize("k", range(2, 7))
     def test_gray_wins_across_grid(self, k):
         assert checks.qary_violations([k], 1e-6, 100) == 0
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_margin_equals_gv_rate_difference(self, k):
+        # criterion 11's grid without its top point, where the 2^k-ary
+        # distance k*delta reaches 1 - 2^-k, outside gv_qary_rate's domain
+        q = 1 << k
+        hi = (1.0 - 2.0 ** (-k)) / k
+        for delta in np.linspace(1e-9, hi, 1000)[:-1]:
+            delta = float(delta)
+            ok, margin = gray_beats_qary(k, delta)
+            rate_gap = k * gv_binary_rate(delta) - gv_qary_rate(k * delta, q)
+            assert k * delta * margin == pytest.approx(rate_gap, rel=0,
+                                                       abs=1e-13)
+            assert ok == (rate_gap >= 0.0)
 
 
 class TestMeasurementBound:
@@ -400,16 +420,3 @@ class TestEdEstimator:
         dark = np.array([1, 0, 1])
         light = np.array([1, 1, 1])
         assert ed_estimate(dark, light, 1.0) == pytest.approx(1.0)
-
-    def test_runs_normalization(self):
-        dark = np.array([2, 0])
-        light = np.array([4, 2])
-        assert ed_estimate(dark, light, 1.0, runs=2) == pytest.approx(0.0)
-
-    def test_plan_quadratic_scaling(self):
-        r1 = ed_repetition_plan(0.1, 0.05)
-        r2 = ed_repetition_plan(0.05, 0.05)
-        assert r2 == pytest.approx(4 * r1, rel=0.01)
-
-    def test_plan_trivial_limit(self):
-        assert ed_repetition_plan(0.999, 0.999) >= 1

@@ -1,7 +1,5 @@
-"""Tests for entropy helpers, GV length solvers, Gray maps, and worst-case
-pair generation."""
-
-import math
+"""Tests for entropy helpers, the GV length solver and rates, Gray maps, and
+worst-case pair generation."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 
 from qfp import checks
 from qfp.codes import (binary_entropy, gv_binary_length, gv_binary_rate,
-                       gv_qary_length, gv_qary_rate, lattice_gray, ring_gray,
+                       gv_qary_rate, lattice_gray, ring_gray,
                        worst_case_pair)
 
 
@@ -52,9 +50,6 @@ class TestGVLength:
         for delta in (0.0, 0.1, 0.3):
             assert gv_qary_rate(delta, 2) == pytest.approx(
                 gv_binary_rate(delta), rel=1e-12)
-
-    def test_qary_length_positive(self):
-        assert gv_qary_length(100, 0.2, 4) >= 100 / math.log2(4)
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,11 @@ class TestEdSimulation:
         with pytest.raises(ValueError):
             simulate_ed(plan)
 
+    def test_rejects_single_trial(self):
+        # one trial has no sample standard error (ddof=1 divides by zero)
+        with pytest.raises(ValueError, match=">= 2 trials"):
+            simulate_ed(_ed_plan(dim=8, trials=1))
+
 
 class TestBlockBudget:
     @pytest.mark.parametrize("s", [1, 128, 10**6])
