@@ -18,6 +18,8 @@ from qfp.codes import gv_binary_length
 from qfp.constellations import lattice_mu_range
 from qfp.leakage import fannes_audenaert_bound
 
+DATA = Path(__file__).parent / "data"
+
 
 def _run(args, **kwargs):
     return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
@@ -43,6 +45,14 @@ class TestCurves:
         assert ks == [1, 2, 3, 4, 5, 6]
         models = [r[header.index("error_model")] for r in body]
         assert models == ["beamsplitter"] * 3 + ["optimal_lb"] * 3
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_preset_matches_golden_csv(self, preset):
+        # ROADMAP aim 2's first regression check: the full default grid,
+        # byte for byte
+        result = _run(["curves", "--preset", preset])
+        assert result.exit_code == 0
+        assert result.output == (DATA / f"{preset}.csv").read_text()
 
     def test_requires_preset(self):
         result = CliRunner().invoke(main, ["curves"])
