@@ -21,6 +21,7 @@ from scipy import optimize, special
 from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
 from .codes import binary_entropy
+from .constellations import _signal_amplitude
 
 __all__ = [
     "NoiseModel",
@@ -164,18 +165,28 @@ def solve_repetition(k: int, m: int, delta: float, p_k: float, epsilon: float) -
         lambda r: interp_worst_case_error(k, m, delta, p_k, r) <= epsilon)
 
 
-def ring_error_exponent(k: int, delta: float) -> float:
-    """Exponent g with worst-case ring error exp(-mu * g); fractional k*delta
-    interpolates between the two nearest ring steps."""
+def _ring_steps(k: int, delta: float) -> tuple[float, float, float]:
+    """(frac, cos lo, cos hi): the cosines of the ring steps lo = floor(k*delta)
+    and lo + 1 nearest k*delta, and frac = k*delta - lo, the upper's weight."""
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     kd = k * delta
     lo = math.floor(kd)
-    frac = kd - lo
     two_k = 1 << k
-    return (1.0
-            - (1.0 - frac) * math.cos(2.0 * math.pi * lo / two_k)
-            - frac * math.cos(2.0 * math.pi * (lo + 1) / two_k))
+    return (kd - lo, math.cos(2.0 * math.pi * lo / two_k),
+            math.cos(2.0 * math.pi * (lo + 1) / two_k))
+
+
+def _with_dark_counts(p, p_dark: float):
+    """1 - (1 - p)(1 - p_dark), summed so tiny p and p_dark do not cancel."""
+    return p + p_dark - p * p_dark
+
+
+def ring_error_exponent(k: int, delta: float) -> float:
+    """Exponent g with worst-case ring error exp(-mu * g); fractional k*delta
+    interpolates between the two nearest ring steps."""
+    frac, cos_lo, cos_hi = _ring_steps(k, delta)
+    return 1.0 - (1.0 - frac) * cos_lo - frac * cos_hi
 
 
 def ring_worst_case_error(k: int, mu: float, delta: float) -> float:
@@ -193,22 +204,12 @@ def experimental_click_probs(k: int, beta_k: float, delta: float, p_dark: float,
     to equal inputs.  At unit visibility p_E is the dark-count probability
     alone and p_D matches the fractional-step ring model exactly.
     """
+    frac, cos_lo, cos_hi = _ring_steps(k, delta)
     b2 = abs(beta_k) ** 2
-    kd = k * delta
-    lo = math.floor(kd)
-    frac = kd - lo
-    two_k = 1 << k
-
-    def click(step: float) -> float:
-        ang = 2.0 * math.pi * step / two_k
-        return -math.expm1(-b2 * (1.0 - visibility * math.cos(ang)))
-
-    p_signal = (1.0 - frac) * click(lo) + frac * click(lo + 1)
+    p_signal = ((1.0 - frac) * -math.expm1(-b2 * (1.0 - visibility * cos_lo))
+                + frac * -math.expm1(-b2 * (1.0 - visibility * cos_hi)))
     p_equal = -math.expm1(-b2 * (1.0 - visibility))
-    # dark counts in the additive form of 1 - (1 - p)(1 - p_dark), which
-    # does not cancel when both are tiny
-    return (p_signal + p_dark - p_signal * p_dark,
-            p_equal + p_dark - p_equal * p_dark)
+    return _with_dark_counts(p_signal, p_dark), _with_dark_counts(p_equal, p_dark)
 
 
 _POISSON_MEAN_CUT = 1e-3
@@ -293,9 +294,8 @@ def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
     search only in a tie at error 1, so the floor moves no error value.
     """
     m_k = -(-m // k)
-    beta2 = mu_detected / (m / k)
-    p_D, p_E = experimental_click_probs(k, math.sqrt(beta2), delta,
-                                        noise.p_dark, noise.visibility)
+    p_D, p_E = experimental_click_probs(k, _signal_amplitude(m, k, mu_detected),
+                                        delta, noise.p_dark, noise.visibility)
     res = optimal_threshold(m_k, p_D, p_E)
     return res if res.d_th >= 1 else replace(res, d_th=1)
 
@@ -319,8 +319,9 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     g = ring_error_exponent(k, delta)
     if g <= 0.0:
         raise InfeasibleError(f"zero error exponent at k={k}, delta={delta}")
+    mu_ideal = math.log(1.0 / epsilon) / g
     if noise.p_dark == 0.0 and noise.visibility == 1.0:
-        return math.log(1.0 / epsilon) / g / noise.eta
+        return mu_ideal / noise.eta
 
     log_eps = math.log(epsilon)
 
@@ -328,7 +329,6 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
         return worst_case_error_with_threshold(k, m, mu_det, delta,
                                                noise).log_worst_case_error - log_eps
 
-    mu_ideal = math.log(1.0 / epsilon) / g
     lo = mu_ideal
     while lo > 1e-12 and excess(lo) < 0.0:
         lo /= 4.0

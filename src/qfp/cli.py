@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, checks, codes, leakage, montecarlo, oracle
 from .analysis import IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError, NoiseModel
-from .constellations import ProtocolInstance
+from .constellations import ProtocolInstance, _signal_amplitude
 
 CSV_COLUMNS = ["n", "k", "family", "delta_opt", "mu", "m_k", "error_model",
                "qil_bits", "bound_method", "classical_ref_bits", "infeasible"]
@@ -137,6 +137,16 @@ def _noise_from(preset: str, eta, p_dark, visibility) -> NoiseModel:
                    **{key: val for key, val in fields.items() if val is not None})
 
 
+def _reject_noise(message: str, noise, eta, p_dark, visibility) -> None:
+    """Usage error naming the first noise option given (--noise ideal aside),
+    for an error model that would report the noise but not apply it."""
+    for opt, val in (("--noise", None if noise == "ideal" else noise),
+                     ("--eta", eta), ("--p-dark", p_dark),
+                     ("--visibility", visibility)):
+        if val is not None:
+            raise click.BadParameter(message, param_hint=f"'{opt}'")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -165,7 +175,10 @@ def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
            visibility) -> None:
     """Ring-family leakage-vs-input-size curves as CSV, one row per (n, k)."""
     spec = CURVE_PRESETS[preset]
-    noise = _noise_from(noise or spec["noise"], eta, p_dark, visibility)
+    nm = _noise_from(noise or spec["noise"], eta, p_dark, visibility)
+    if not nm.is_ideal and "optimal_lb" in dict(spec["series"]).values():
+        _reject_noise(f"the {preset} preset's optimal_lb series is modelled "
+                      f"without noise", noise, eta, p_dark, visibility)
     if epsilon is None:
         epsilon = spec["epsilon"]
     grid = n_grid(n_points)
@@ -176,10 +189,9 @@ def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
     for n in grid:
         ref = leakage.classical_reference(n)
         for k, error_model in spec["series"]:
-            use_noise = IDEAL_NOISE if error_model == "optimal_lb" else noise
             try:
                 opt = leakage.optimize_delta_for_qil(
-                    "ring", k, float(n), epsilon, noise=use_noise,
+                    "ring", k, float(n), epsilon, noise=nm,
                     measurement=error_model)
             except InfeasibleError as exc:
                 writer.writerow([_sig9(n), k, "ring", "", "", "", error_model,
@@ -213,15 +225,8 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
         if epsilon >= 1.0:
             raise click.BadParameter("the interpolation family needs "
                                      "epsilon < 1", param_hint="'--epsilon'")
-        # its error model takes no noise: a noisy setting would be reported
-        # but not applied
-        for opt, val in (("--noise", None if noise == "ideal" else noise),
-                         ("--eta", eta), ("--p-dark", p_dark),
-                         ("--visibility", visibility)):
-            if val is not None:
-                raise click.BadParameter("the interpolation family is "
-                                         "modelled without noise",
-                                         param_hint=f"'{opt}'")
+        _reject_noise("the interpolation family is modelled without noise",
+                      noise, eta, p_dark, visibility)
         if k > m:
             raise click.BadParameter(f"the interpolation family needs k <= "
                                      f"m, the codeword length ({m})",
@@ -254,7 +259,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
             ring = family == "ring"
             report.update(
                 m=m, m_k=m_k, mu_launched=mu, mu_detected=mu_det,
-                beta_k=math.sqrt(mu / m_k), d_th=th.d_th,
+                beta_k=_signal_amplitude(m, k, mu), d_th=th.d_th,
                 worst_case_error=th.worst_case_error,
                 qil_majorization_bits=opt.bound.bits if ring else None,
                 qil_typical_subspace_bits=leakage.fannes_audenaert_bound(
@@ -277,17 +282,15 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
               help="Launched mean photon number.")
 @click.option("--trials", type=_POSITIVE, default=10000)
 @click.option("--seed", type=_SEED, default=0)
-@click.option("--strategy", type=click.Choice(["even", "consolidated"]),
-              default="even")
 @click.option("--out", type=click.Path(), default=None)
 @_shared_options
-def simulate(k, m, delta, mu, trials, seed, strategy, out, noise, eta, p_dark,
+def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
              visibility) -> None:
     """Monte Carlo worst-case-pair run versus the closed-form prediction."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     if mu is None:
         mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)
-    x, y = codes.worst_case_pair(m, delta, k, strategy)
+    x, y = codes.worst_case_pair(m, delta, k)
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,
         protocol=ProtocolInstance(family="ring", k=k, mu=mu),

@@ -94,7 +94,7 @@ def lattice_constellation(k: int, beta_rms: float) -> Constellation:
     return Constellation(points=x + 1j * y, labels=gray)
 
 
-def _signal_amplitude(m: int, k: int, mu: float) -> float:
+def _signal_amplitude(m: float, k: int, mu: float) -> float:
     """Per-signal amplitude sqrt(mu / (m/k)); exact total mu when k | m."""
     return math.sqrt(mu / (m / k))
 
@@ -154,13 +154,17 @@ def encode_ed(u: np.ndarray, alpha: complex, variant: str = "real") -> np.ndarra
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _qubit_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(1 - p), +-sqrt(p)): two qubits with overlap 1 - 2p."""
+    hi, lo = math.sqrt(1.0 - p), math.sqrt(p)
+    return np.array([hi, lo]), np.array([hi, -lo])
+
+
 def interpolation_qubits(p_k: float) -> tuple[np.ndarray, np.ndarray]:
     """Qubit pair with inner product <q0|q1> = 1 - p_k exactly."""
     if not 0.0 <= p_k <= 1.0:
         raise ValueError(f"p_k must lie in [0, 1], got {p_k}")
-    hi = math.sqrt(1.0 - p_k / 2.0)
-    lo = math.sqrt(p_k / 2.0)
-    return np.array([hi, lo]), np.array([hi, -lo])
+    return _qubit_pair(p_k / 2.0)
 
 
 def interpolation_signal(block: np.ndarray, k: int, p_k: float) -> np.ndarray:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel, _first_true,
-                       ring_error_exponent, solve_amplitude)
+                       solve_amplitude)
 from .codes import binary_entropy, gv_binary_rate
-from .constellations import lattice_mu_range
+from .constellations import _signal_amplitude, lattice_mu_range
 
 __all__ = [
     "LeakageBound",
@@ -58,7 +58,8 @@ def shannon_entropy(p: np.ndarray) -> float:
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probability vector sums to {p.sum()}, not 1")
     p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    # 0.0 - sum, not -sum: a deterministic vector has entropy 0.0, not -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def lambda_interpolation(k: int, p_k: float) -> np.ndarray:
@@ -317,25 +318,23 @@ def _coherent_family_qil(family: str, k: int, n: float, m: float,
     The ring family admits the majorization bound; the lattice constellation
     does not, so it falls back to the typical-subspace bound with its
     per-codeword photon-number range.
+
+    ``optimal_lb`` is modelled without noise.  Any one-sided measurement errs
+    at least the beamsplitter error squared, so it takes half the latter's mu.
     """
-    if measurement == "optimal_lb":
-        # optimal one-sided measurement error >= beamsplitter error squared,
-        # so half the exponent budget guarantees epsilon
-        g = ring_error_exponent(k, delta)
-        mu = math.log(1.0 / epsilon) / (2.0 * g) / noise.eta
-        if not noise.is_ideal and noise.p_dark > 0.0:
-            raise ValueError("optimal-measurement bound is ideal-setting only")
-    elif measurement == "beamsplitter":
-        mu = solve_amplitude(k, int(round(m)), delta, epsilon, noise)
-    else:
+    if measurement not in ("beamsplitter", "optimal_lb"):
         raise ValueError(f"unknown measurement {measurement!r}")
+    if measurement == "optimal_lb" and not noise.is_ideal:
+        raise ValueError("optimal_lb is modelled without noise")
+    mu = solve_amplitude(k, int(round(m)), delta, epsilon, noise)
+    if measurement == "optimal_lb":
+        mu /= 2.0
     m_k = m / k
     if family == "lattice":
         mu_min, mu_max = lattice_mu_range(k, int(round(m)), mu)
         bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
     else:
-        beta_k = math.sqrt(mu / m_k)
-        bound = qil_ring(k, m, beta_k)
+        bound = qil_ring(k, m, _signal_amplitude(m, k, mu))
     return DeltaOptimum(delta=delta, bound=bound, m=m, mu=mu, m_k=m_k)
 
 

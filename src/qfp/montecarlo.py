@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoiseModel, ed_estimate, no_click_prob
+from .analysis import NoiseModel, _with_dark_counts, ed_estimate, no_click_prob
 from .constellations import ProtocolInstance, encode, encode_ed
 
 __all__ = [
@@ -111,7 +111,7 @@ def signal_click_probs(plan: TrialPlan) -> np.ndarray:
     no_click = no_click_prob(encode(plan.input_x, p.family, p.k, p.mu) * root_eta,
                              encode(plan.input_y, p.family, p.k, p.mu) * root_eta,
                              plan.noise.visibility)
-    return 1.0 - no_click * (1.0 - plan.noise.p_dark)
+    return _with_dark_counts(1.0 - no_click, plan.noise.p_dark)
 
 
 def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
@@ -161,8 +161,7 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)
     # row 0 is the dark port, row 1 the light port
     lam = 0.5 * np.abs([amps_u - amps_v, amps_u + amps_v]) ** 2 * plan.noise.eta
-    p_dark = plan.noise.p_dark
-    p_click = p_dark - np.expm1(-lam) * (1.0 - p_dark)
+    p_click = _with_dark_counts(-np.expm1(-lam), plan.noise.p_dark)
     estimates = np.empty(plan.trials)
     for b, start, rows in _blocks(plan.trials, block_rows(p_click.size)):
         rng = derive_block_rng(plan.master_seed, b)

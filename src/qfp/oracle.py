@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .constellations import interpolation_signal
+from .constellations import _qubit_pair, interpolation_signal
 
 __all__ = [
     "TruncatedFockState",
@@ -121,12 +121,6 @@ def beamsplitter_click_probs(state_a: TruncatedFockState,
         p_no_dark += abs(vec_out[total]) ** 2   # 0 photons in mode a
         p_no_light += abs(vec_out[0]) ** 2      # 0 photons in mode b
     return 1.0 - p_no_dark, 1.0 - p_no_light
-
-
-def _qubit_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(1 - p), +-sqrt(p)): two qubits with overlap 1 - 2p."""
-    return (np.array([math.sqrt(1.0 - p), math.sqrt(p)]),
-            np.array([math.sqrt(1.0 - p), -math.sqrt(p)]))
 
 
 def qubit_from_coherent(beta_0: complex, beta_1: complex

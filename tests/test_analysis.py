@@ -119,6 +119,10 @@ class TestClickModel:
                   + frac * (1.0 - no_click_prob(points[0], points[lo + 1])))
         assert p_D == pytest.approx(expect, rel=1e-12)
 
+    def test_rejects_negative_distance(self):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            experimental_click_probs(2, 0.1, -0.3, 0.0)
+
     def test_dark_counts_additive(self):
         p_D, p_E = experimental_click_probs(1, 0.2, 0.25, 1e-6, 1.0)
         assert p_E == 1e-6

@@ -54,6 +54,21 @@ class TestCurves:
         assert result.exit_code == 0
         assert result.output == (DATA / f"{preset}.csv").read_text()
 
+    def test_ideal_noise_flag_prints_the_default_bytes(self):
+        args = ["curves", "--preset", "fig2", "--n-points", "2"]
+        assert _run([*args, "--noise", "ideal"]).output == _run(args).output
+
+    def test_fig3_noise_flags_unchanged(self):
+        # fig3 has no optimal_lb series, so noise flags still apply
+        result = _run(["curves", "--preset", "fig3", "--eta", "0.5",
+                       "--p-dark", "1e-9", "--n-points", "1"])
+        assert result.output.splitlines()[1:] == [
+            "1000,1,ring,0.399091057,11.5402455,33802.5273,beamsplitter,"
+            "299.002212,schur_horn,31.6227766,",
+            "1000,2,ring,0.388279947,11.8605425,13766.7329,beamsplitter,"
+            "275.732143,schur_horn,31.6227766,",
+        ]
+
     def test_requires_preset(self):
         result = CliRunner().invoke(main, ["curves"])
         assert result.exit_code != 0
@@ -74,6 +89,11 @@ class TestSolve:
         assert report["mu_launched"] == \
             __import__("pytest").approx(math.log(100.0) / 0.5, rel=1e-9)
         assert report["d_th"] == 1
+
+    def test_epsilon_one_leaks_positive_zero(self):
+        report = json.loads(_run(["solve", "--epsilon", "1"]).output)
+        assert report["qil_majorization_bits"] == 0.0
+        assert math.copysign(1.0, report["qil_majorization_bits"]) == 1.0
 
     def test_interpolation_reports_repetitions(self):
         result = _run(["solve", "--family", "interpolation", "--k", "2",
@@ -197,6 +217,12 @@ class TestSimulate:
         assert report["d_th"] == worst_case_error_with_threshold(
             2, 2000, report["mu"], 0.25, noise).d_th
 
+    def test_no_strategy_option(self):
+        # simulate runs the even pair, the one its prediction is made for
+        result = CliRunner().invoke(main, ["simulate", "--strategy", "even"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_no_light_still_needs_one_click(self):
         # mu = 0: no threshold separates the inputs; NotEqual still needs a
         # click, so every different-input trial decides Equal
@@ -283,11 +309,23 @@ class TestBadInput:
         (["solve", "--family", "interpolation", "--p-dark", "0"], "--p-dark"),
         (["solve", "--family", "interpolation", "--visibility", "1"],
          "--visibility"),
+        # fig2's optimal_lb series is modelled without noise
+        (["curves", "--preset", "fig2", "--noise", "paper-exp"], "--noise"),
+        (["curves", "--preset", "fig2", "--eta", "0.5"], "--eta"),
+        (["curves", "--preset", "fig2", "--visibility", "0.9"],
+         "--visibility"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
+
+    def test_noisy_config_for_fig2_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig2", "p_dark": 1e-9}))
+        result = CliRunner().invoke(main, ["curves", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--p-dark'" in result.output
 
     def test_config_value_out_of_range(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -342,7 +380,7 @@ class TestBadInput:
         (["solve"], {"family": "ring", "k": 2, "n": 100000, "delta": 0.3,
                      "epsilon": 0.02}),
         (["simulate"], {"k": 2, "m": 1000, "delta": 0.25, "trials": 2000,
-                        "seed": 5, "strategy": "consolidated"}),
+                        "seed": 5}),
         (["curves", "--n-points", "2"], {"preset": "fig3", "epsilon": 0.02}),
     ], ids=["solve", "simulate", "curves"])
     def test_config_run_equals_flag_run(self, tmp_path, args, values):

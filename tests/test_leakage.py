@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qfp.analysis import NoiseModel
+from qfp.analysis import InfeasibleError, NoiseModel
 from qfp.codes import binary_entropy, gv_binary_rate
-from qfp.leakage import (_log2_dim_window, _poisson_entropy, _typical_tail,
+from qfp.leakage import (_coherent_family_qil, _log2_dim_window, _poisson_entropy, _typical_tail,
                          asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
                          lambda_ring, lambda_ring_series,
@@ -24,7 +24,9 @@ class TestShannonEntropy:
                                                                    abs=1e-12)
 
     def test_point_mass(self):
-        assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
+        h = shannon_entropy(np.array([1.0, 0.0]))
+        assert h == 0.0
+        assert math.copysign(1.0, h) == 1.0  # not -0.0
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -225,7 +227,6 @@ class TestDeltaOptimization:
     def test_local_optimality_probe(self):
         opt = optimize_delta_for_qil("ring", 2, 1e4, 0.01)
         for shift in (-0.01, 0.01):
-            from qfp.leakage import _coherent_family_qil
             delta = opt.delta + shift
             probe = _coherent_family_qil("ring", 2, 1e4,
                                          1e4 / gv_binary_rate(delta), delta,
@@ -250,3 +251,24 @@ class TestDeltaOptimization:
         lb = optimize_delta_for_qil("ring", 3, 1e4, 0.01,
                                     measurement="optimal_lb")
         assert lb.mu < bs.mu
+
+    def test_optimal_lb_is_half_the_ideal_beamsplitter_amplitude(self):
+        args = ("ring", 3, 1e4, 1e4 / gv_binary_rate(0.3), 0.3, 0.01,
+                NoiseModel())
+        lb = _coherent_family_qil(*args, "optimal_lb")
+        bs = _coherent_family_qil(*args, "beamsplitter")
+        assert lb.mu == bs.mu / 2.0
+
+    @pytest.mark.parametrize("noise", [NoiseModel(visibility=0.9),
+                                       NoiseModel(eta=0.5),
+                                       NoiseModel(p_dark=1e-9)],
+                             ids=["visibility", "eta", "p_dark"])
+    def test_optimal_lb_rejects_noise(self, noise):
+        with pytest.raises(ValueError, match="without noise"):
+            _coherent_family_qil("ring", 4, 1e4, 5e4, 0.3, 0.01, noise,
+                                 "optimal_lb")
+
+    def test_optimal_lb_infeasible_at_zero_distance(self):
+        with pytest.raises(InfeasibleError):
+            _coherent_family_qil("ring", 4, 1e4, 1e4, 0.0, 0.01, NoiseModel(),
+                                 "optimal_lb")
