@@ -66,6 +66,7 @@ _POSITIVE = click.IntRange(min=1)
 # table then stays cached for the process's lifetime, below that peak.
 _SOLVE_K_RANGE = {"ring": (1, 12), "lattice": (2, codes.MAX_GRAY_BITS)}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
+_OUT = click.Path(dir_okay=False)
 
 
 def _sig9(x: float) -> str:
@@ -151,8 +152,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.FileError(out, exc.strerror) from None
 
 
 @click.group(context_settings={"show_default": True})
@@ -169,7 +173,7 @@ def main() -> None:
               help="Target worst-case error.")
 @click.option("--n-points", type=click.IntRange(min=0), default=_N_GRID_POINTS,
               help="Grid size over [1e3, 1e8].")
-@click.option("--out", type=click.Path(), default=None, help="CSV output path.")
+@click.option("--out", type=_OUT, default=None, help="CSV output path.")
 @_shared_options
 def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
            visibility) -> None:
@@ -214,7 +218,7 @@ def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
               default=0.25, help="Relative distance; the GV bound needs < 1/2.")
 @click.option("--epsilon", type=_FiniteFloat(0.0, 1.0, min_open=True),
               default=0.01)
-@click.option("--out", type=click.Path(), default=None, help="JSON output path.")
+@click.option("--out", type=_OUT, default=None, help="JSON output path.")
 @_shared_options
 def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
           visibility) -> None:
@@ -282,7 +286,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
               help="Launched mean photon number.")
 @click.option("--trials", type=_POSITIVE, default=10000)
 @click.option("--seed", type=_SEED, default=0)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT, default=None)
 @_shared_options
 def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
              visibility) -> None:
@@ -315,7 +319,7 @@ def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
 @main.command()
 @click.option("--suite", type=click.Choice(sorted(checks.SUITES)), default=None,
               help="Run a single suite instead of all of them.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT, default=None)
 def verify(suite, out) -> None:
     """Brute-force verification suites; nonzero exit on any failure."""
     names = [suite] if suite else sorted(checks.SUITES)
@@ -333,7 +337,7 @@ def verify(suite, out) -> None:
 @main.command()
 @click.option("--p", "p_exc", type=_FiniteFloat(0.0, 1.0), required=True,
               help="Qubit excitation parameter; <q0|q1> = 1 - 2p.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT, default=None)
 def usc(p_exc, out) -> None:
     """Unambiguous state comparison outcome probabilities."""
     report = {
@@ -356,7 +360,7 @@ def usc(p_exc, out) -> None:
 @click.option("--seed", type=_SEED, default=0)
 @click.option("--variant", type=click.Choice(["real", "complex"]),
               default="real")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT, default=None)
 def ed_estimate_cmd(dimension, alpha2, trials, seed, variant, out) -> None:
     """Simulated squared-distance estimation on a random unit-vector pair."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
 """Entropy functions, the binary Gilbert-Varshamov length solver and the
-q-ary Gilbert-Varshamov rate, Gray codes, and adversarial codeword-pair
-generators.
+q-ary Gilbert-Varshamov rate, Gray codes, the signal layout, and adversarial
+codeword-pair generators.
 
 No actual error-correcting code is ever constructed: every protocol here
 only needs the minimum distance of the code, so codewords are produced
@@ -118,44 +118,37 @@ def lattice_gray(k: int) -> GrayMap:
                    shape=(rows, cols))
 
 
+def _signal_blocks(seq, k: int) -> np.ndarray:
+    """The signal layout: a nonempty 1-D sequence as rows of k entries, one
+    row per signal, in the sequence's dtype, with the last row zero-padded."""
+    seq = np.asarray(seq)
+    if seq.ndim != 1 or seq.size == 0:
+        raise ValueError("sequence must be nonempty and 1-D")
+    rows = np.zeros((-(-seq.size // k), k), dtype=seq.dtype)
+    rows.reshape(-1)[:seq.size] = seq
+    return rows
+
+
 def worst_case_pair(m: int, delta: float, k: int,
                     strategy: str = "even") -> tuple[np.ndarray, np.ndarray]:
     """Two length-m bit strings differing in exactly round(m * delta) positions.
 
-    ``consolidated`` packs all differences into the fewest leading blocks of
-    size k; ``even`` spreads them so every block carries floor or ceil of the
-    average number of differences.
+    Both strategies flip the leading positions of one order over the signal
+    layout.  ``consolidated`` reads it signal-major, so the differences fill
+    the fewest leading signals; ``even`` reads it bit-major (bit t of every
+    signal before bit t + 1 of any), a round-robin over the signals.
     """
+    if strategy not in ("even", "consolidated"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
     dist = int(round(m * delta))
     if not 0 <= dist <= m:
         raise ValueError(f"round(m*delta)={dist} outside [0, {m}]")
+    grid = _signal_blocks(np.arange(1, m + 1), k)  # 1-based; 0 is padding
+    order = (grid if strategy == "consolidated" else grid.T).reshape(-1)
+    order = order[order > 0] - 1
     x = np.zeros(m, dtype=np.uint8)
     y = np.zeros(m, dtype=np.uint8)
-    if dist == 0:
-        return x, y
-    if strategy == "consolidated":
-        flip = np.zeros(m, dtype=bool)
-        flip[:dist] = True
-    elif strategy == "even":
-        # round-robin over blocks: every block open to the water level
-        # fills to it, and the first `extra` open blocks take one flip more.
-        # Only the final block can be short; it stays open while the
-        # distance fits in n_blocks of its length.
-        n_blocks = -(-m // k)
-        short = m - (n_blocks - 1) * k
-        if dist <= n_blocks * short:
-            level, extra = divmod(dist, n_blocks)
-            fill = np.full(n_blocks, level)
-        else:
-            level, extra = divmod(dist - short, n_blocks - 1)
-            fill = np.full(n_blocks, level)
-            fill[-1] = short
-        fill[:extra] += 1
-        pos = np.arange(m)
-        flip = pos % k < fill[pos // k]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    y[flip] ^= 1
+    y[order[:dist]] = 1
     return x, y

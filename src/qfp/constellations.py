@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import GrayMap, lattice_gray, ring_gray
+from .codes import GrayMap, _signal_blocks, lattice_gray, ring_gray
 
 __all__ = [
     "Constellation",
@@ -51,22 +51,10 @@ class ProtocolInstance:
     alpha: complex = 0.0
 
 
-def _pad_codeword(codeword: np.ndarray, k: int) -> np.ndarray:
-    """Zero-pad the final block so k divides the length."""
-    codeword = np.asarray(codeword, dtype=np.uint8)
-    if codeword.ndim != 1 or codeword.size == 0:
-        raise ValueError("codeword must be a nonempty 1-D bit array")
-    rem = codeword.size % k
-    if rem:
-        codeword = np.concatenate([codeword, np.zeros(k - rem, dtype=np.uint8)])
-    return codeword
-
-
 def _block_labels(codeword: np.ndarray, k: int) -> np.ndarray:
     """Integer label of each k-bit block, first bit most significant."""
-    blocks = _pad_codeword(codeword, k).reshape(-1, k)
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return blocks.astype(np.int64) @ weights
+    return _signal_blocks(codeword, k).astype(np.int64) @ weights
 
 
 def ring_constellation(k: int, beta: float) -> Constellation:
@@ -140,17 +128,13 @@ def encode_ed(u: np.ndarray, alpha: complex, variant: str = "real") -> np.ndarra
     norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"u must be a unit vector, got norm {norm}")
+    if np.iscomplexobj(u) and np.abs(u.imag).max() > 0:
+        raise ValueError("both variants are defined for real entries")
     if variant == "real":
-        if np.iscomplexobj(u) and np.abs(u.imag).max() > 0:
-            raise ValueError("real variant requires real entries")
         return u.real * alpha
     if variant == "complex":
-        if np.iscomplexobj(u) and np.abs(u.imag).max() > 0:
-            raise ValueError("complex packing is defined for real entries")
-        v = u.real
-        if v.size % 2:
-            v = np.concatenate([v, [0.0]])
-        return (v[0::2] + 1j * v[1::2]) * alpha
+        rows = _signal_blocks(u.real, 2)
+        return (rows[:, 0] + 1j * rows[:, 1]) * alpha
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -181,14 +165,12 @@ def interpolation_state_vector(codeword: np.ndarray, k: int, p_k: float) -> np.n
     """Explicit unit vector of the full interpolation state for one codeword."""
     if not 0.0 < p_k <= 1.0:
         raise ValueError(f"p_k must lie in (0, 1], got {p_k}")
-    codeword = _pad_codeword(codeword, k)
-    n_signals = codeword.size // k
-    if (2 * k) ** n_signals > _STATE_DIM_CAP:
+    blocks = _signal_blocks(np.asarray(codeword, dtype=np.uint8), k)
+    if (2 * k) ** len(blocks) > _STATE_DIM_CAP:
         raise ValueError(
-            f"state dimension (2k)^{n_signals} exceeds cap {_STATE_DIM_CAP}"
+            f"state dimension (2k)^{len(blocks)} exceeds cap {_STATE_DIM_CAP}"
         )
     state = np.ones(1)
-    for j in range(n_signals):
-        sig = interpolation_signal(codeword[j * k:(j + 1) * k], k, p_k)
-        state = np.kron(state, sig)
+    for block in blocks:
+        state = np.kron(state, interpolation_signal(block, k, p_k))
     return state

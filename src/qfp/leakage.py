@@ -249,7 +249,7 @@ def _poisson_entropy(mu: float) -> float:
     return h / math.log(2.0)
 
 
-def asymptotic_bound(n: float, m_k: float, mu_min: float, mu_max: float,
+def asymptotic_bound(m_k: float, mu_min: float, mu_max: float,
                      Delta: int) -> LeakageBound:
     """Telescoping-window leakage bound with O(log m_k) scaling.
 

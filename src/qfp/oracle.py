@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .codes import _signal_blocks
 from .constellations import _qubit_pair, interpolation_signal
 
 __all__ = [
@@ -61,7 +62,7 @@ def coherent_fock(beta: complex, cutoff: int | None = None) -> TruncatedFockStat
             f"|beta|^2 = {b2} exceeds accuracy guard cutoff/3 = {cutoff / 3.0}"
         )
     h = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
+    log_fact = np.cumsum(np.log(np.maximum(h, 1)))  # log h!, with 0! = 1
     mags = np.exp(-b2 / 2.0 + h * np.log(abs(beta)) - log_fact / 2.0) \
         if beta != 0 else np.eye(cutoff + 1)[0]
     if beta != 0:
@@ -251,29 +252,23 @@ def interp_measurement_oracle(codeword_x: np.ndarray, codeword_y: np.ndarray,
         raise ValueError("codewords must have equal length")
     if k > 4 or codeword_x.size > 8:
         raise ValueError("oracle is capped at k <= 4, m <= 8")
-    rem = codeword_x.size % k
-    if rem:
-        pad = np.zeros(k - rem, dtype=np.uint8)
-        codeword_x = np.concatenate([codeword_x, pad])
-        codeword_y = np.concatenate([codeword_y, pad])
-    n_signals = codeword_x.size // k
     d = 2 * k
     p_diag = _diag_projector(k)
     # comparison measurement is fixed by the design overlap 1 - p_k; its
     # qubit excitation parameter is p_k / 2
     povm = usc_povm(p_k / 2.0)
     e_detect = _lift_qubit_pair_op(povm["different"], k)
-    results = np.empty(n_signals)
-    for j in range(n_signals):
-        sig_x = interpolation_signal(codeword_x[j * k:(j + 1) * k], k, p_k)
-        sig_y = interpolation_signal(codeword_y[j * k:(j + 1) * k], k, p_k)
-        joint = np.kron(sig_x, sig_y).astype(complex)
+    results = []
+    for block_x, block_y in zip(_signal_blocks(codeword_x, k),
+                                _signal_blocks(codeword_y, k)):
+        joint = np.kron(interpolation_signal(block_x, k, p_k),
+                        interpolation_signal(block_y, k, p_k)).astype(complex)
         diag_part = p_diag @ joint
         off_part = joint - diag_part
         p_dark = float(np.real(np.vdot(diag_part, e_detect @ diag_part)))
         p_anti = cswap_antisym_prob(off_part, d)
-        results[j] = 1.0 - p_dark - p_anti
-    return results
+        results.append(1.0 - p_dark - p_anti)
+    return np.array(results)
 
 
 def optimal_projector_error(states_equal: list[np.ndarray], probe_x: np.ndarray,

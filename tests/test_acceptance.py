@@ -289,7 +289,7 @@ def test_criterion_13_logarithmic_leakage_scaling():
     spread = {name: max(vals) / min(vals) for name, vals in ratios.items()}
     interp_ok = all(s < 3.0 for s in spread.values())
 
-    asym = [asymptotic_bound(1e6, m_k, 8.0, 8.0, 64).bits / math.log2(m_k)
+    asym = [asymptotic_bound(m_k, 8.0, 8.0, 64).bits / math.log2(m_k)
             for m_k in (1e4, 1e6, 1e8, 1e10)]
     asym_ok = max(asym) / min(asym) < 2.0
     ok = interp_ok and asym_ok

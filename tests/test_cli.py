@@ -196,6 +196,20 @@ class TestSimulate:
         assert report["predicted_error"] == pytest.approx(0.010214337653619098,
                                                           rel=1e-12)
 
+    def test_golden_values_short_final_block(self):
+        # k = 3 does not divide m = 3001, and k * delta > 1.  The run exits 1:
+        # the even pair errs less often than the ring model predicts there
+        result = CliRunner().invoke(main, [
+            "simulate", "--k", "3", "--m", "3001", "--delta", "0.4",
+            "--trials", "20000", "--seed", "5"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert report["mu"] == pytest.approx(10.603305646488714, rel=1e-12)
+        assert report["d_th"] == 1
+        assert report["empirical_error"] == 0.00165
+        assert report["predicted_error"] == pytest.approx(0.010014238806775445,
+                                                          rel=1e-12)
+
     def test_z_score_sane(self):
         result = _run(["simulate", "--k", "2", "--m", "400", "--delta",
                        "0.25", "--trials", "5000", "--seed", "2"])
@@ -275,6 +289,17 @@ class TestEdEstimate:
         assert report["std_error"] == pytest.approx(0.013781725301921195,
                                                     rel=1e-12)
 
+    def test_golden_values_complex_odd_dimension(self):
+        # 65 components pack into 33 signals, the last one half empty
+        report = json.loads(_run(["ed-estimate", "--variant", "complex",
+                                  "--dimension", "65", "--trials", "5000",
+                                  "--seed", "2"]).output)
+        assert report["true_squared_distance"] == pytest.approx(
+            1.851391111563582, rel=1e-12)
+        assert report["mean_estimate"] == pytest.approx(1.8792, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.0275817625021416,
+                                                    rel=1e-12)
+
 
 class TestBadInput:
     """Out-of-range values stop at the CLI boundary with a usage error
@@ -314,6 +339,13 @@ class TestBadInput:
         (["curves", "--preset", "fig2", "--eta", "0.5"], "--eta"),
         (["curves", "--preset", "fig2", "--visibility", "0.9"],
          "--visibility"),
+        # a directory is no output file
+        (["curves", "--preset", "fig2", "--out", "."], "--out"),
+        (["solve", "--out", "."], "--out"),
+        (["simulate", "--out", "."], "--out"),
+        (["verify", "--out", "."], "--out"),
+        (["usc", "--p", "0.2", "--out", "."], "--out"),
+        (["ed-estimate", "--out", "."], "--out"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)
@@ -326,6 +358,15 @@ class TestBadInput:
         result = CliRunner().invoke(main, ["curves", "--config", str(cfg)])
         assert result.exit_code == 2
         assert "Invalid value for '--p-dark'" in result.output
+
+    def test_out_unwritable(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = CliRunner().invoke(main, ["usc", "--p", "0.2", "--out",
+                                           str(out)])
+        assert result.exit_code == 1
+        assert result.output == (f"Error: Could not open file '{out}': "
+                                 f"No such file or directory\n")
+        assert not isinstance(result.exception, OSError)
 
     def test_config_value_out_of_range(self, tmp_path):
         cfg = tmp_path / "cfg.json"

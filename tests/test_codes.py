@@ -124,11 +124,14 @@ class TestWorstCasePair:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             worst_case_pair(10, 0.2, 2, "scattered")
+        with pytest.raises(ValueError):  # even when nothing is flipped
+            worst_case_pair(10, 0.0, 2, "scattered")
 
     @pytest.mark.parametrize("ms", [range(1, 41), [97], [1000], [1001]],
                              ids=["m<=40", "m=97", "m=1000", "m=1001"])
     def test_even_matches_round_robin(self, ms):
-        # the closed form must be bit-identical to the round-robin it replaced
+        # `even` must be bit-identical to the round-robin it replaced, and
+        # `consolidated` must flip exactly the first `dist` positions
         for m in ms:
             for k in range(1, 9):
                 for dist in range(m + 1):
@@ -136,6 +139,10 @@ class TestWorstCasePair:
                     assert not x.any()
                     assert np.array_equal(y, _round_robin_even(m, dist, k)), \
                         (m, k, dist)
+                    x, y = worst_case_pair(m, dist / m, k, "consolidated")
+                    assert not x.any()
+                    assert np.array_equal(np.flatnonzero(y),
+                                          np.arange(dist)), (m, k, dist)
 
 
 def _round_robin_even(m, dist, k):

@@ -98,6 +98,12 @@ class TestEncodeEd:
     def test_complex_packing_halves_signals(self):
         u = np.full(16, 0.25)
         assert encode_ed(u, 1.0, "complex").size == 8
+        # an odd length pads the last signal's imaginary part with zero
+        u = np.arange(1.0, 8.0) / np.sqrt(140.0)
+        alpha = 0.6 + 0.8j
+        amps = encode_ed(u, alpha, "complex")
+        assert amps.size == 4
+        assert amps[-1] == u[-1] * alpha
 
     def test_variants_share_distance_identity(self):
         rng = np.random.default_rng(3)

@@ -196,19 +196,19 @@ class TestAsymptoticBound:
         mu, delta = 8.0, 64
         ratios = []
         for m_k in (1e4, 1e6, 1e8, 1e10):
-            bits = asymptotic_bound(1e6, m_k, mu, mu, delta).bits
+            bits = asymptotic_bound(m_k, mu, mu, delta).bits
             ratios.append(bits / math.log2(m_k))
         assert max(ratios) / min(ratios) < 2.0
 
     def test_requires_wide_window(self):
         with pytest.raises(ValueError):
-            asymptotic_bound(1e4, 1e4, 10.0, 10.0, Delta=5)
+            asymptotic_bound(1e4, 10.0, 10.0, Delta=5)
 
     @pytest.mark.parametrize("mu", [0.01, 0.1])
     def test_index_entropy_is_exact_at_weak_light(self, mu):
         # below mu ~ 0.3 the Gaussian entropy 1/2 log2(2 pi e mu) is smaller
         # than the Poisson entropy (negative at mu = 0.01), so it is no bound
-        index = asymptotic_bound(1e6, 1e4, mu, mu, 64).subterms["index_entropy"]
+        index = asymptotic_bound(1e4, mu, mu, 64).subterms["index_entropy"]
         assert index == _poisson_entropy(mu) >= 0.0
         assert index == pytest.approx(
             stats.poisson(mu).entropy() / math.log(2.0), rel=1e-9)

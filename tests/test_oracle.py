@@ -112,6 +112,16 @@ class TestInterpOracle:
         assert probs[0] == pytest.approx(interp_nd_prob(1, k, p_k), abs=1e-10)
         assert probs[1] == pytest.approx(interp_nd_prob(1, k, p_k), abs=1e-10)
 
+    def test_padded_last_block(self):
+        # m = 5 at k = 2: the third signal carries one bit and one pad bit
+        k, p_k = 2, 0.4
+        x = np.array([0, 0, 1, 1, 0], dtype=np.uint8)
+        y = np.array([1, 1, 1, 1, 1], dtype=np.uint8)
+        probs = interp_measurement_oracle(x, y, k, p_k)
+        assert probs.shape == (3,)
+        for got, d in zip(probs, (2, 0, 1)):
+            assert got == pytest.approx(interp_nd_prob(d, k, p_k), abs=1e-10)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             interp_measurement_oracle(np.zeros(10, dtype=np.uint8),
