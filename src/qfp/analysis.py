@@ -3,11 +3,11 @@ binomial click model.
 
 All probabilities that can underflow (binomial tails with per-signal click
 probabilities down to ~1e-11 over ~1e6 signals) are returned in log space.
-The tails come from scipy's compiled kernels, called directly: the Boost
-binomial ufuncs ``_binom_sf``/``_binom_cdf`` (the ones ``scipy.stats.binom``
-calls), or ``pdtrc``/``pdtr`` in the Poisson limit m*p < 1e-3, p < 1e-6.
-The values are bit-identical to ``scipy.stats`` ``logsf``/``logcdf``
-without its per-call argument handling.
+Each tail is one call of scipy's compiled Boost binomial kernel,
+``_binom_sf`` or ``_binom_cdf`` (the ones ``scipy.stats.binom`` calls), over
+the whole parameter range, the deep tail included.  The values are
+bit-identical to ``scipy.stats.binom`` ``logsf``/``logcdf`` without its
+per-call argument handling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
 from .codes import binary_entropy
@@ -85,8 +85,6 @@ class ThresholdResult:
     d_th: int
     worst_case_error: float
     log_worst_case_error: float
-    p_D: float
-    p_E: float
 
 
 def no_click_prob(beta_a: complex | np.ndarray, beta_b: complex | np.ndarray,
@@ -209,15 +207,10 @@ def experimental_click_probs(k: int, beta_k: float, delta: float, p_dark: float,
     p_signal = ((1.0 - frac) * -math.expm1(-b2 * (1.0 - visibility * cos_lo))
                 + frac * -math.expm1(-b2 * (1.0 - visibility * cos_hi)))
     p_equal = -math.expm1(-b2 * (1.0 - visibility))
+    # each term is >= p_equal, as cos <= 1; at visibility 0 both equal it,
+    # and rounding must not leave their mixture below it
+    p_signal = max(p_signal, p_equal)
     return _with_dark_counts(p_signal, p_dark), _with_dark_counts(p_equal, p_dark)
-
-
-_POISSON_MEAN_CUT = 1e-3
-_POISSON_P_CUT = 1e-6
-
-
-def _use_poisson(m: int, p: float) -> bool:
-    return m * p < _POISSON_MEAN_CUT and p < _POISSON_P_CUT
 
 
 def _log_tail(prob: float) -> float:
@@ -227,15 +220,11 @@ def _log_tail(prob: float) -> float:
 
 
 def log_binom_sf(t: int, m: int, p: float) -> float:
-    """log P(Bin(m, p) >= t), Poisson-limit evaluation in the deep tail."""
+    """log P(Bin(m, p) >= t)."""
     if t <= 0:
         return 0.0
     if t > m:
         return -math.inf
-    if p == 0.0:
-        return -math.inf
-    if _use_poisson(m, p):
-        return _log_tail(special.pdtrc(t - 1, m * p))
     return _log_tail(_binom_sf(t - 1, m, p))
 
 
@@ -245,24 +234,25 @@ def log_binom_cdf(t: int, m: int, p: float) -> float:
         return -math.inf
     if t > m:
         return 0.0
-    if p == 0.0:
-        return 0.0
-    if _use_poisson(m, p):
-        return _log_tail(special.pdtr(t - 1, m * p))
     return _log_tail(_binom_cdf(t - 1, m, p))
 
 
 def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     """Integer threshold minimizing max(P(Bin(m_k,p_E) >= t), P(Bin(m_k,p_D) < t)).
 
-    The false-positive tail is nonincreasing and the false-negative tail
-    nondecreasing in t, so the global minimum sits next to the crossing:
-    the smallest t where the false-positive tail drops to (or below) the
-    false-negative one.  ``_first_true`` finds it by galloping over
-    t = 1, 2, 4, ... and bisecting the last doubling interval, capped at
-    m_k + 1, so it costs O(log t) tail pairs for a crossing at t; with few
-    expected clicks (small p_E*m_k) that is a handful, against O(log m_k)
-    for bisecting all of [0, m_k + 1].
+    The false-positive tail does not increase in t and the false-negative
+    tail does not decrease.  Let t_c be the first crossing, the smallest t
+    where the false-positive tail is at or below the false-negative one.
+    For every t >= t_c the worse tail is the false-negative one, smallest
+    at t_c; for every t < t_c it is the false-positive one, smallest at
+    t_c - 1.  So only t_c - 1 and t_c can win (t_c + 1 never does), and on
+    a tie ``min`` takes the smaller t.  ``_first_true`` finds t_c >= 1 by
+    galloping over t = 1, 2, 4, ... and bisecting the last doubling
+    interval, capped at m_k + 1, so it costs O(log t_c) tail pairs; with
+    few expected clicks (small p_E*m_k) that is a handful, against
+    O(log m_k) for bisecting all of [0, m_k + 1].  Both candidates are
+    thresholds the search has evaluated, or t = 0 and m_k + 1, whose tails
+    need no kernel call.
     """
     if not 0.0 <= p_E <= p_D <= 1.0:
         raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
@@ -278,10 +268,9 @@ def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     # t = 0 never crosses (log sf = 0 > log cdf = -inf) and t = m_k + 1
     # always does (log sf = -inf <= log cdf = 0)
     hi = _first_true(crosses, cap=m_k + 1)
-    candidates = {max(0, hi - 1), hi, min(m_k + 1, hi + 1)}
-    log_err, best = min((max(tails(t)), t) for t in candidates)
+    log_err, best = min((max(tails(t)), t) for t in (hi - 1, hi))
     return ThresholdResult(d_th=best, worst_case_error=math.exp(log_err),
-                           log_worst_case_error=log_err, p_D=p_D, p_E=p_E)
+                           log_worst_case_error=log_err)
 
 
 def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,

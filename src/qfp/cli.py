@@ -293,7 +293,10 @@ def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
     """Monte Carlo worst-case-pair run versus the closed-form prediction."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     if mu is None:
-        mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)
+        try:
+            mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)
+        except InfeasibleError as exc:
+            raise click.ClickException(str(exc)) from None
     x, y = codes.worst_case_pair(m, delta, k)
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,

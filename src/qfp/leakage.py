@@ -213,8 +213,6 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
         if best is not None and dim_term >= best[0]:
             break
         eps = _typical_tail(mu_min, mu_max, radius)
-        if eps >= 0.5:
-            continue
         gamma = math.sqrt(2.0 * eps)
         continuity = 2.0 * n * gamma
         if best is not None and dim_term + continuity >= best[0]:

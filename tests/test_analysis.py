@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qfp import checks
+from qfp import analysis, checks
 from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
-                          ThresholdResult, _use_poisson, ed_estimate,
+                          ThresholdResult, ed_estimate,
                           experimental_click_probs, gray_beats_qary,
                           interp_nd_prob, interp_worst_case_error,
                           log_binom_cdf, log_binom_sf, no_click_prob,
@@ -139,6 +139,17 @@ class TestClickModel:
         assert p_E == p_dark
         assert p_D == p_signal + p_dark - p_signal * p_dark
 
+    def test_zero_visibility_keeps_p_D_at_least_p_E(self):
+        # both inputs click alike at visibility 0; rounding in the mixture of
+        # the two ring steps must not put p_D below p_E, which the threshold
+        # search rejects
+        for k in (1, 2, 3, 4):
+            for beta in np.linspace(0.05, 3.0, 30):
+                for delta in np.linspace(0.01, 0.49, 30):
+                    p_D, p_E = experimental_click_probs(
+                        k, float(beta), float(delta), 7.3e-11, 0.0)
+                    assert p_D >= p_E
+
     def test_reduced_visibility_dark_counts_exact(self):
         # 1 - (1 - p)(1 - p_dark) cancels at p, p_dark ~ 1e-10 (8.3e-8
         # relative); compare with the exact rational sum
@@ -163,18 +174,20 @@ class TestBinomialTails:
     @pytest.mark.parametrize("m,p,t", [(20, Fraction(1, 10), 3),
                                        (50, Fraction(1, 100), 2),
                                        (30, Fraction(7, 10), 25),
-                                       (10, Fraction(1, 2), 5)])
+                                       (10, Fraction(1, 2), 5),
+                                       # few expected clicks over many signals
+                                       (1000, Fraction(1, 10**7), 5)])
     def test_log_sf_matches_exact(self, m, p, t):
         exact = float(_exact_binom_sf(t, m, p))
         assert math.exp(log_binom_sf(t, m, float(p))) == pytest.approx(
-            exact, rel=1e-10)
+            exact, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("m,p,t", [(20, Fraction(1, 10), 3),
                                        (30, Fraction(7, 10), 25)])
     def test_log_cdf_matches_exact(self, m, p, t):
         exact = 1.0 - float(_exact_binom_sf(t, m, p))
         assert math.exp(log_binom_cdf(t, m, float(p))) == pytest.approx(
-            exact, rel=1e-10)
+            exact, rel=1e-10, abs=0.0)
 
     def test_deep_tail_does_not_underflow(self):
         # the lossy-detector regime: tiny p over many signals
@@ -195,21 +208,19 @@ _SIZES = st.one_of(st.integers(1, 100),
 
 
 def _stats_tail(kind, t, m, p):
-    """The scipy.stats evaluation the compiled kernels replace."""
+    """The scipy.stats evaluation the compiled kernels replace.  It passes
+    p = 0 to scipy.stats, so the kernels are checked there too."""
     if kind == "sf":
         if t <= 0:
             return 0.0
-        if t > m or p == 0.0:
+        if t > m:
             return -math.inf
     else:
         if t <= 0:
             return -math.inf
-        if t > m or p == 0.0:
+        if t > m:
             return 0.0
-    if _use_poisson(m, p):
-        dist = stats.poisson(m * p)
-    else:
-        dist = stats.binom(m, p)
+    dist = stats.binom(m, p)
     return float(dist.logsf(t - 1) if kind == "sf" else dist.logcdf(t - 1))
 
 
@@ -230,19 +241,18 @@ class TestTailKernelOracle:
         _assert_matches_stats(t, m, p)
 
     @pytest.mark.parametrize("m,p", [
-        (10**6, 7.3e-11),    # Poisson branch
-        (10**7, 1e-12),      # Poisson branch, largest m
-        (10**6, 1e-3),       # binomial branch, sf underflow
+        (10**6, 7.3e-11),    # the Fig. 3 dark-count regime, m*p ~ 1e-4
+        (10**7, 1e-12),      # the deepest tail, largest m
+        (10**6, 1e-3),       # sf underflow
         (10**4, 0.999),      # cdf underflow at small t
         (10, 1.0),
+        (10**6, 0.0),
     ])
     def test_edges_equal_scipy_stats(self, m, p):
         for t in list(range(-2, 6)) + [200, m // 2, m - 1, m, m + 1, m + 2]:
             _assert_matches_stats(t, m, p)
 
-    def test_both_branches_and_underflow_covered(self):
-        assert _use_poisson(10**6, 7.3e-11)
-        assert not _use_poisson(10**6, 1e-3)
+    def test_underflow_covered(self):
         assert log_binom_sf(5000, 10**6, 1e-3) == -math.inf
         assert _stats_tail("sf", 5000, 10**6, 1e-3) == -math.inf
         assert log_binom_cdf(3, 10**4, 0.999) == -math.inf
@@ -250,8 +260,9 @@ class TestTailKernelOracle:
 
 
 def _bisection_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
-    """The bisection search that preceded the galloping one, kept verbatim
-    as the reference for d_th and the error it reports."""
+    """The bisection search that preceded the galloping one, kept as the
+    reference for d_th and the error it reports.  It also weighs the
+    crossing's upper neighbour, which the galloping search leaves out."""
     if not 0.0 <= p_E <= p_D <= 1.0:
         raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
 
@@ -271,7 +282,7 @@ def _bisection_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     best = min(candidates, key=lambda t: (objective(t), t))
     log_err = objective(best)
     return ThresholdResult(d_th=best, worst_case_error=math.exp(log_err),
-                           log_worst_case_error=log_err, p_D=p_D, p_E=p_E)
+                           log_worst_case_error=log_err)
 
 
 def _same_threshold(m_k, p_D, p_E):
@@ -316,6 +327,33 @@ class TestGallopingThreshold:
     @settings(max_examples=300, deadline=None)
     def test_matches_bisection_random(self, m_k, p_a, p_b):
         _same_threshold(m_k, max(p_a, p_b), min(p_a, p_b))
+
+    @pytest.mark.parametrize("m_k,p_D,p_E", [
+        (10**6, 1e-4, 7.3e-11),      # d_th = 8
+        (10**6, 0.31, 0.3),
+        (1000, 0.01, 0.0),
+        (10, 1.0, 0.5),              # crossing at the cap m_k + 1
+    ])
+    def test_kernel_runs_only_where_the_search_probed(self, monkeypatch, m_k,
+                                                      p_D, p_E):
+        probed, kernel_ts = set(), set()
+        first_true = analysis._first_true
+
+        def spy_first_true(pred, cap=None):
+            return first_true(lambda t: probed.add(t) or pred(t), cap)
+
+        def spy(kernel):
+            def wrapped(k, m, p):
+                kernel_ts.add(int(k) + 1)    # the tails pass k = t - 1
+                return kernel(k, m, p)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "_first_true", spy_first_true)
+        for name in ("_binom_sf", "_binom_cdf"):
+            monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+        optimal_threshold(m_k, p_D, p_E)
+        assert probed
+        assert kernel_ts <= probed
 
 
 class TestOptimalThreshold:

@@ -1,5 +1,7 @@
 """Tests for the command-line surface."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -11,8 +13,8 @@ from click.testing import CliRunner
 
 import qfp
 from qfp import leakage
-from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel,
-                          worst_case_error_with_threshold)
+from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
+                          NoiseModel, worst_case_error_with_threshold)
 from qfp.cli import CSV_COLUMNS, main
 from qfp.codes import gv_binary_length
 from qfp.constellations import lattice_mu_range
@@ -68,6 +70,16 @@ class TestCurves:
             "1000,2,ring,0.388279947,11.8605425,13766.7329,beamsplitter,"
             "275.732143,schur_horn,31.6227766,",
         ]
+
+    def test_zero_visibility_rows_are_infeasible(self):
+        # no interference contrast: every row is infeasible, none crashes
+        result = _run(["curves", "--preset", "fig3", "--n-points", "1",
+                       "--visibility", "0"])
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [row["k"] for row in rows] == ["1", "2"]
+        assert all(row["infeasible"].startswith("no feasible distance")
+                   for row in rows)
 
     def test_requires_preset(self):
         result = CliRunner().invoke(main, ["curves"])
@@ -236,6 +248,18 @@ class TestSimulate:
         result = CliRunner().invoke(main, ["simulate", "--strategy", "even"])
         assert result.exit_code == 2
         assert "No such option" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--p-dark", "0.9"],
+        ["--noise", "paper-exp", "--visibility", "0"],
+    ])
+    def test_infeasible_amplitude_is_one_error_line(self, args):
+        result = CliRunner().invoke(main, ["simulate", *args, "--trials",
+                                           "10"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: error 0.01 unattainable below mu cap "
+                                 "10000000.0 (dark counts too strong)\n")
+        assert not isinstance(result.exception, InfeasibleError)
 
     def test_no_light_still_needs_one_click(self):
         # mu = 0: no threshold separates the inputs; NotEqual still needs a
