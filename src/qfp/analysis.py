@@ -8,6 +8,12 @@ Each tail is one call of scipy's compiled Boost binomial kernel,
 the whole parameter range, the deep tail included.  The values are
 bit-identical to ``scipy.stats.binom`` ``logsf``/``logcdf`` without its
 per-call argument handling.
+
+The noisy amplitude solver finds its root with ``_brentq``, a line-for-line
+port of ``scipy.optimize.brentq`` that evaluates the same points and returns
+the same float.  So the two tail kernels are all this module takes from
+scipy, and importing it loads neither ``scipy.optimize`` nor, through it,
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
 from .codes import binary_entropy
@@ -289,6 +294,94 @@ def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
     return res if res.d_th >= 1 else replace(res, d_th=1)
 
 
+class _SignError(ValueError):
+    """The two ends of a root bracket have function values of one sign."""
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq``: the C loop of
+    ``Zeros/brentq.c`` with the same operations in the same order, and the
+    checks of its Python wrapper.  It evaluates f at the same points and
+    returns the same float.  An end with f == 0 is returned at once; ends of
+    one sign raise ``_SignError`` (a ``ValueError``), a nan value of f raises
+    ``ValueError`` and ``maxiter`` iterations without convergence raise
+    ``RuntimeError``.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    rtol_min = 4 * math.ulp(1.0)
+    if rtol < rtol_min:
+        raise ValueError(f"rtol too small ({rtol:g} < {rtol_min:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise _SignError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = _c_div(-fcur * (fblk * dblk - fpre * dpre),
+                              dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _c_div(num: float, den: float) -> float:
+    """num / den as C computes it: a zero den gives +-inf or nan, not an
+    exception.  The extrapolation step reaches it when a product of two
+    tiny slopes underflows."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
 _MU_CAP = 1e7
 
 
@@ -299,7 +392,9 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     Ideal noise inverts the closed-form ring error.  Otherwise the detected
     mean photon number is root-found through the threshold model.  The
     returned value is the launched (initial) photon number, i.e. it includes
-    the 1/eta rescale.
+    the 1/eta rescale.  If the error stays below epsilon down to the 1e-12
+    floor of the lower bracket, dark counts alone attain epsilon and the
+    value is 0.0, as at epsilon = 1.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -329,7 +424,12 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
                 f"error {epsilon} unattainable below mu cap {_MU_CAP} "
                 f"(dark counts too strong)"
             )
-    mu_det = optimize.brentq(excess, lo, hi, xtol=1e-12, rtol=1e-10)
+    try:
+        mu_det = _brentq(excess, lo, hi, xtol=1e-12, rtol=1e-10)
+    except _SignError:
+        # excess(hi) <= 0, and excess(lo) >= 0 unless lo reached the floor
+        # unevaluated: there dark counts alone keep the error below epsilon
+        return 0.0
     return mu_det / noise.eta
 
 

@@ -1,6 +1,7 @@
 """Tests for closed-form error probabilities, the binomial click model, and
-the parameter solvers, including an exact big-rational threshold oracle and
-the scipy.stats oracle of the binomial tail kernels."""
+the parameter solvers, including an exact big-rational threshold oracle,
+the scipy.stats oracle of the binomial tail kernels and the scipy.optimize
+oracle of the root finder."""
 
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from qfp import analysis, checks
 from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
@@ -259,6 +260,128 @@ class TestTailKernelOracle:
         assert log_binom_sf(200, 10**6, 7.3e-11) == -math.inf
 
 
+def _solve(solver, f, a, b, **kw):
+    """(root, evaluation points) of one root-finder run; a raised error
+    stands in for the root as its kind and text."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        return solver(counted, a, b, **kw), xs
+    except (ValueError, RuntimeError) as exc:
+        kind = RuntimeError if isinstance(exc, RuntimeError) else ValueError
+        return (kind, str(exc)), xs
+
+
+# xtol = 2e-12 and rtol = 4 eps are scipy's defaults
+_BRENT_TOLS = st.fixed_dictionaries({
+    "xtol": st.sampled_from([2e-12, 1e-12, 1e-6]),
+    "rtol": st.sampled_from([4 * math.ulp(1.0), 1e-10, 1e-4]),
+    "maxiter": st.sampled_from([100, 10, 3]),
+})
+_ROOTS = st.floats(-5.0, 5.0)
+_WIDTHS = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
+_SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def _monotone(kind, r, c):
+    if kind == "cubic":
+        return lambda x: c * (x - r) ** 3 + 1e-3 * (x - r)
+    if kind == "tanh":
+        return lambda x: math.tanh(c * (x - r))
+    if kind == "exp":
+        return lambda x: math.exp(min(c * (x - r), 700.0)) - 1.0
+    if kind == "stairs":
+        # flat steps: f takes one value at many points
+        return lambda x: math.floor(c * (x - r)) + 0.5
+    # slopes near the underflow limit: products of two of them vanish
+    return lambda x: 1e-300 * c * (x - r)
+
+
+class TestBrentOracle:
+    """``_brentq`` is a port of scipy.optimize.brentq, so it must evaluate
+    the same points and return the same float; these tests fail if a scipy
+    release changes brentq."""
+
+    def _assert_same(self, f, a, b, **kw):
+        ours = _solve(analysis._brentq, f, a, b, **kw)
+        assert ours == _solve(optimize.brentq, f, a, b, **kw)
+        return ours
+
+    @pytest.mark.parametrize("noise", [
+        PAPER_EXP_NOISE, NoiseModel(eta=0.5, p_dark=1e-6, visibility=0.98)],
+        ids=["paper-exp", "visibility"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_solve_amplitude_brackets(self, monkeypatch, k, noise):
+        """The excess closures and brackets solve_amplitude really solves."""
+        calls = []
+        real = analysis._brentq
+
+        def spy(f, a, b, **kw):
+            calls.append((f, a, b, kw))
+            return real(f, a, b, **kw)
+
+        monkeypatch.setattr(analysis, "_brentq", spy)
+        for m in (1000, 10_000, 10**6):
+            for delta in (0.1, 0.25, 0.4):
+                for eps in (0.01, 1e-4):
+                    solve_amplitude(k, m, delta, eps, noise)
+        monkeypatch.undo()
+        assert len(calls) == 18
+        for f, a, b, kw in calls:
+            root, xs = self._assert_same(f, a, b, **kw)
+            ref, info = optimize.brentq(f, a, b, full_output=True, **kw)
+            assert (root, len(xs)) == (ref, info.function_calls)
+
+    @given(st.sampled_from(["cubic", "tanh", "exp", "stairs", "tiny"]),
+           _ROOTS, _SCALES, _WIDTHS, _WIDTHS, st.booleans(), _BRENT_TOLS)
+    @settings(max_examples=300, deadline=None)
+    def test_monotone(self, kind, r, c, left, right, flip, kw):
+        a, b = r - left, r + right
+        if flip:
+            a, b = b, a
+        self._assert_same(_monotone(kind, r, c), a, b, **kw)
+
+    @given(_ROOTS, _SCALES, st.floats(-1.0, 1.0), _WIDTHS, _WIDTHS,
+           _BRENT_TOLS)
+    @settings(max_examples=300, deadline=None)
+    def test_oscillating(self, r, w, slope, left, right, kw):
+        # several roots, or none, in the bracket: same-sign ends included
+        def f(x):
+            return math.sin(w * (x - r)) + slope * (x - r)
+
+        self._assert_same(f, r - left, r + right, **kw)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (-1.0, 1.0)],
+                             ids=["root-at-a", "root-at-b"])
+    def test_root_at_an_end(self, a, b):
+        # both ends are evaluated before either is returned
+        assert self._assert_same(lambda x: x - 1.0, a, b, xtol=2e-12,
+                                 rtol=1e-10) == (1.0, [a, b])
+
+    def test_same_sign_bracket(self):
+        (kind, text), xs = self._assert_same(lambda x: x * x + 1.0, -1.0,
+                                             2.0, xtol=2e-12, rtol=1e-10)
+        assert (kind, xs) == (ValueError, [-1.0, 2.0])
+        assert "different signs" in text
+
+    def test_nan_value(self):
+        def f(x):
+            return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+        (kind, text), xs = self._assert_same(f, 0.0, 1.0, xtol=2e-12,
+                                             rtol=1e-10)
+        assert kind is ValueError and "NaN" in text and len(xs) == 3
+
+    def test_maxiter_used_up(self):
+        (kind, _), xs = self._assert_same(lambda x: x ** 3 - 2.0, 0.0, 2.0,
+                                          xtol=2e-12, rtol=1e-10, maxiter=3)
+        assert kind is RuntimeError and len(xs) == 5
+
+
 def _bisection_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     """The bisection search that preceded the galloping one, kept as the
     reference for d_th and the error it reports.  It also weighs the
@@ -400,6 +523,27 @@ class TestOptimalThreshold:
             optimal_threshold(10, 0.1, 0.5)
 
 
+# float.hex of solve_amplitude at epsilon = 0.01, captured with
+# scipy.optimize.brentq as the root finder: (k, m, delta, noise, mu)
+_MU_GOLDEN = [
+    # the fig3 optima, k = 1 and 2, at n = 1e3 and n = 1e8
+    (1, 29179, "0x1.90d7fef209098p-2", PAPER_EXP_NOISE,
+     "0x1.39c1986328fb7p+4"),
+    (2, 23761, "0x1.84ef105294bd8p-2", PAPER_EXP_NOISE,
+     "0x1.4354a7804ebb9p+4"),
+    (1, 2034987865, "0x1.7b21613e6b9a3p-2", PAPER_EXP_NOISE,
+     "0x1.d36c9d25ebd66p+4"),
+    (2, 4069983449, "0x1.a1c69d44c6916p-2", PAPER_EXP_NOISE,
+     "0x1.a82faa8e65e98p+4"),
+    # qfp simulate's default point under paper-exp
+    (1, 1000, "0x1.0000000000000p-2", PAPER_EXP_NOISE,
+     "0x1.eea5f4b13740fp+4"),
+    (2, 5000, "0x1.3333333333333p-2",
+     NoiseModel(eta=0.5, p_dark=1e-6, visibility=0.98),
+     "0x1.baedc60b9be63p+4"),
+]
+
+
 class TestSolveAmplitude:
     def test_ideal_closed_form(self):
         k, delta, eps = 1, 0.25, 0.01
@@ -422,6 +566,18 @@ class TestSolveAmplitude:
         res_low = worst_case_error_with_threshold(k, m, 0.9 * mu * noise.eta,
                                                   delta, noise)
         assert res_low.worst_case_error > eps
+
+    @pytest.mark.parametrize("k,m,delta,noise,mu", _MU_GOLDEN)
+    def test_noisy_golden(self, k, m, delta, noise, mu):
+        assert solve_amplitude(k, m, float.fromhex(delta), 0.01,
+                               noise).hex() == mu
+
+    def test_dark_counts_alone_attain_epsilon(self):
+        # the error with no signal at all is 0.5197 < epsilon
+        noise = NoiseModel(p_dark=0.3)
+        assert worst_case_error_with_threshold(
+            1, 106, 0.0, 0.25, noise).worst_case_error < 0.6
+        assert solve_amplitude(1, 106, 0.25, 0.6, noise) == 0.0
 
     def test_infeasible_dark_counts(self):
         # ten signals cannot beat a 0.49 dark-count floor down to 1e-12

@@ -81,6 +81,15 @@ class TestCurves:
         assert all(row["infeasible"].startswith("no feasible distance")
                    for row in rows)
 
+    def test_dark_counts_alone_attain_epsilon(self):
+        # p_dark = 0.3 keeps the error below 0.6 with no signal: mu = 0
+        result = _run(["curves", "--preset", "fig3", "--p-dark", "0.3",
+                       "--epsilon", "0.6", "--n-points", "1"])
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [(row["k"], row["mu"], row["infeasible"]) for row in rows] == [
+            ("1", "0", ""), ("2", "0", "")]
+
     def test_requires_preset(self):
         result = CliRunner().invoke(main, ["curves"])
         assert result.exit_code != 0
@@ -106,6 +115,15 @@ class TestSolve:
         report = json.loads(_run(["solve", "--epsilon", "1"]).output)
         assert report["qil_majorization_bits"] == 0.0
         assert math.copysign(1.0, report["qil_majorization_bits"]) == 1.0
+
+    def test_dark_counts_alone_attain_epsilon(self):
+        # p_dark = 0.3 alone gives error 0.5197 at m = 106, below epsilon
+        result = _run(["solve", "--p-dark", "0.3", "--epsilon", "0.6",
+                       "--n", "20"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["mu_launched"] == 0.0
+        assert report["worst_case_error"] < 0.6
 
     def test_interpolation_reports_repetitions(self):
         result = _run(["solve", "--family", "interpolation", "--k", "2",
@@ -482,3 +500,16 @@ def test_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy_optimize_and_sparse():
+    """The amplitude solver's root finder is a port of scipy's brentq, so
+    importing the CLI must not load scipy.optimize, nor scipy.sparse,
+    which scipy.optimize imports."""
+    code = ("import sys, qfp.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], "
+            "['scipy', 'sparse'])))")
+    src = Path(qfp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
