@@ -409,6 +409,7 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
 
     log_eps = math.log(epsilon)
 
+    @functools.cache  # the bracket loops and _brentq revisit amplitudes
     def excess(mu_det: float) -> float:
         return worst_case_error_with_threshold(k, m, mu_det, delta,
                                                noise).log_worst_case_error - log_eps

@@ -13,14 +13,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
 
 from . import analysis, checks, codes, leakage, montecarlo, oracle
 from .analysis import IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError, NoiseModel
-from .constellations import ProtocolInstance, _signal_amplitude
+from .constellations import ProtocolInstance
 
 CSV_COLUMNS = ["n", "k", "family", "delta_opt", "mu", "m_k", "error_model",
                "qil_bits", "bound_method", "classical_ref_bits", "infeasible"]
@@ -61,10 +61,6 @@ class _FiniteFloat(click.FloatRange):
 
 
 _POSITIVE = click.IntRange(min=1)
-# (min, max) k of `solve`: the ring's majorization bound builds a dense
-# 2^k x 2^k DFT (592 MiB at k = 12 while it is built).  The 256 MiB k = 12
-# table then stays cached for the process's lifetime, below that peak.
-_SOLVE_K_RANGE = {"ring": (1, 12), "lattice": (2, codes.MAX_GRAY_BITS)}
 _SEED = click.IntRange(0, 2 ** 128 - 1)    # Philox keys are 128-bit
 _OUT = click.Path(dir_okay=False)
 
@@ -210,7 +206,7 @@ def curves(preset, epsilon, n_points, out, noise, eta, p_dark,
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["interpolation", "lattice", "ring"]),
+@click.option("--family", type=click.Choice(sorted(leakage.FAMILIES)),
               default="ring")
 @click.option("--k", type=_POSITIVE, default=1)
 @click.option("--n", type=_POSITIVE, default=1000, help="Input size in bits.")
@@ -225,50 +221,22 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     """Solve protocol parameters for a target error probability."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     m = codes.gv_binary_length(n, delta)
-    if family == "interpolation":
+    fam = leakage.FAMILIES[family]
+    if not fam.noisy:
         if epsilon >= 1.0:
-            raise click.BadParameter("the interpolation family needs "
-                                     "epsilon < 1", param_hint="'--epsilon'")
-        _reject_noise("the interpolation family is modelled without noise",
+            raise click.BadParameter(f"the {family} family needs epsilon < 1",
+                                     param_hint="'--epsilon'")
+        _reject_noise(f"the {family} family is modelled without noise",
                       noise, eta, p_dark, visibility)
-        if k > m:
-            raise click.BadParameter(f"the interpolation family needs k <= "
-                                     f"m, the codeword length ({m})",
-                                     param_hint="'--k'")
-    if family in _SOLVE_K_RANGE:
-        k_min, k_max = _SOLVE_K_RANGE[family]
-        if not k_min <= k <= k_max:
-            raise click.BadParameter(f"the {family} family needs {k_min} <= k "
-                                     f"<= {k_max}", param_hint="'--k'")
+    if not fam.k_min <= k <= (fam.k_max or m):
+        k_max = fam.k_max or f"m, the codeword length ({m})"
+        raise click.BadParameter(f"the {family} family needs {fam.k_min} <= k "
+                                 f"<= {k_max}", param_hint="'--k'")
 
     report: dict = {"family": family, "k": k, "n": n, "delta": delta,
-                    "epsilon": epsilon,
-                    "noise": {"eta": nm.eta, "p_dark": nm.p_dark,
-                              "visibility": nm.visibility}}
+                    "epsilon": epsilon, "noise": asdict(nm)}
     try:
-        if family == "interpolation":
-            p_k = k / m
-            r = analysis.solve_repetition(k, m, delta, p_k, epsilon)
-            report.update(m=m, p_k=p_k, repetitions=r,
-                          worst_case_error=analysis.interp_worst_case_error(
-                              k, m, delta, p_k, r),
-                          qil_bits=leakage.qil_interpolation(k, m, p_k, r).bits)
-        else:
-            # the design point the curves use, at the integer codeword length
-            opt = leakage._coherent_family_qil(family, k, n, m, delta, epsilon,
-                                               nm, "beamsplitter")
-            mu, m_k = opt.mu, opt.m_k
-            mu_det = mu * nm.eta
-            th = analysis.worst_case_error_with_threshold(k, m, mu_det, delta, nm)
-            ring = family == "ring"
-            report.update(
-                m=m, m_k=m_k, mu_launched=mu, mu_detected=mu_det,
-                beta_k=_signal_amplitude(m, k, mu), d_th=th.d_th,
-                worst_case_error=th.worst_case_error,
-                qil_majorization_bits=opt.bound.bits if ring else None,
-                qil_typical_subspace_bits=leakage.fannes_audenaert_bound(
-                    n, m_k, mu, mu).bits if ring else opt.bound.bits,
-            )
+        report.update(fam.report(n, k, m, delta, epsilon, nm))
     except InfeasibleError as exc:
         report["infeasible"] = str(exc)
         _emit(json.dumps(report, indent=2) + "\n", out)

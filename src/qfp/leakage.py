@@ -11,13 +11,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel, _first_true,
-                       solve_amplitude)
-from .codes import binary_entropy, gv_binary_rate
+                       interp_worst_case_error, solve_amplitude,
+                       solve_repetition, worst_case_error_with_threshold)
+from .codes import MAX_GRAY_BITS, binary_entropy, gv_binary_rate
 from .constellations import _signal_amplitude, lattice_mu_range
 
 __all__ = [
@@ -33,6 +35,8 @@ __all__ = [
     "classical_reference",
     "DeltaOptimum",
     "optimize_delta_for_qil",
+    "Family",
+    "FAMILIES",
 ]
 
 
@@ -123,10 +127,12 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     mod 2^k, evaluated by roots-of-unity filtering of the generating
     function (stable for any |beta|^2, unlike the raw factorial series).
     The roots of unity and the DFT phase matrix depend on k alone, so they
-    are built once per k; each call does one matrix-vector product.
+    are built once per k; each call does at most one matrix-vector product.
     """
     b2 = abs(beta_k) ** 2
     two_k = 1 << k
+    if b2 == 0.0:  # the vacuum, exactly: the DFT would leave round-off
+        return np.eye(1, two_k)[0]
     omega_j, phases = _ring_tables(k)
     # sum_{h = l mod 2^k} e^{-b2} b2^h / h! = 2^-k sum_j w^{-lj} exp(b2 (w^j - 1))
     gen = np.exp(b2 * (omega_j - 1.0))
@@ -313,10 +319,6 @@ def _coherent_family_qil(family: str, k: int, n: float, m: float,
     input bits at codeword length m: real-valued from the delta optimizer,
     the integer GV length from ``qfp solve``, rounded where m must be whole.
 
-    The ring family admits the majorization bound; the lattice constellation
-    does not, so it falls back to the typical-subspace bound with its
-    per-codeword photon-number range.
-
     ``optimal_lb`` is modelled without noise.  Any one-sided measurement errs
     at least the beamsplitter error squared, so it takes half the latter's mu.
     """
@@ -327,13 +329,8 @@ def _coherent_family_qil(family: str, k: int, n: float, m: float,
     mu = solve_amplitude(k, int(round(m)), delta, epsilon, noise)
     if measurement == "optimal_lb":
         mu /= 2.0
-    m_k = m / k
-    if family == "lattice":
-        mu_min, mu_max = lattice_mu_range(k, int(round(m)), mu)
-        bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
-    else:
-        bound = qil_ring(k, m, _signal_amplitude(m, k, mu))
-    return DeltaOptimum(delta=delta, bound=bound, m=m, mu=mu, m_k=m_k)
+    return DeltaOptimum(delta=delta, bound=FAMILIES[family].bound(n, k, m, mu),
+                        m=m, mu=mu, m_k=m / k)
 
 
 def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
@@ -341,7 +338,7 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
                            measurement: str = "beamsplitter") -> DeltaOptimum:
     """Golden-section minimization of the family's leakage bound over the
     relative minimum distance delta."""
-    if family not in ("ring", "lattice"):
+    if getattr(FAMILIES.get(family), "bound", None) is None:
         raise ValueError(f"unsupported family {family!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -393,3 +390,50 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
     if result.bound.bits > values[i_best]:
         result = design(float(grid[i_best]))
     return result
+
+
+def _interpolation_report(n, k, m, delta, epsilon, noise) -> dict:
+    p_k = k / m
+    r = solve_repetition(k, m, delta, p_k, epsilon)
+    return {"m": m, "p_k": p_k, "repetitions": r,
+            "worst_case_error": interp_worst_case_error(k, m, delta, p_k, r),
+            "qil_bits": qil_interpolation(k, m, p_k, r).bits}
+
+
+def _coherent_report(family, n, k, m, delta, epsilon, noise) -> dict:
+    """``qfp solve``'s fields at the curves' design point, integer m."""
+    opt = _coherent_family_qil(family, k, n, m, delta, epsilon, noise,
+                               "beamsplitter")
+    mu_det = opt.mu * noise.eta
+    th = worst_case_error_with_threshold(k, m, mu_det, delta, noise)
+    ring = opt.bound.method == "schur_horn"
+    return {"m": m, "m_k": opt.m_k, "mu_launched": opt.mu,
+            "mu_detected": mu_det, "beta_k": _signal_amplitude(m, k, opt.mu),
+            "d_th": th.d_th, "worst_case_error": th.worst_case_error,
+            "qil_majorization_bits": opt.bound.bits if ring else None,
+            "qil_typical_subspace_bits": fannes_audenaert_bound(
+                n, opt.m_k, opt.mu, opt.mu).bits if ring else opt.bound.bits}
+
+
+@dataclass(frozen=True)
+class Family:
+    """One equality protocol family, the only place its name takes meaning."""
+
+    k_min: int
+    k_max: int | None  # None: up to the codeword length m
+    noisy: bool  # its error model takes noise (and so epsilon = 1)
+    report: Callable[..., dict]  # qfp solve's fields
+    bound: Callable[..., LeakageBound] | None = None  # coherent: (n, k, m, mu)
+
+
+# ring k <= 12: lambda_ring's 2^k x 2^k DFT takes 592 MiB to build at 12
+FAMILIES = {
+    "interpolation": Family(1, None, False, _interpolation_report),
+    "lattice": Family(2, MAX_GRAY_BITS, True,
+                      functools.partial(_coherent_report, "lattice"),
+                      lambda n, k, m, mu: fannes_audenaert_bound(
+                          n, m / k, *lattice_mu_range(k, int(round(m)), mu))),
+    "ring": Family(1, 12, True, functools.partial(_coherent_report, "ring"),
+                   lambda n, k, m, mu: qil_ring(
+                       k, m, _signal_amplitude(m, k, mu))),
+}

@@ -572,6 +572,21 @@ class TestSolveAmplitude:
         assert solve_amplitude(k, m, float.fromhex(delta), 0.01,
                                noise).hex() == mu
 
+    def test_no_amplitude_evaluated_twice(self, monkeypatch):
+        # mu_ideal = 9.2 >= 1 starts both bracket loops at one amplitude,
+        # and _brentq evaluates the bracket ends the loops evaluated
+        seen = []
+        real = analysis.worst_case_error_with_threshold
+
+        def spy(k, m, mu_detected, *args):
+            seen.append(mu_detected)
+            return real(k, m, mu_detected, *args)
+
+        monkeypatch.setattr(analysis, "worst_case_error_with_threshold", spy)
+        solve_amplitude(1, 1000, 0.25, 0.01, PAPER_EXP_NOISE)
+        assert len(seen) > 2
+        assert len(seen) == len(set(seen))
+
     def test_dark_counts_alone_attain_epsilon(self):
         # the error with no signal at all is 0.5197 < epsilon
         noise = NoiseModel(p_dark=0.3)

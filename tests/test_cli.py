@@ -146,7 +146,8 @@ class TestSolve:
         assert report["qil_typical_subspace_bits"] == fannes_audenaert_bound(
             100000, report["m_k"], mu_min, mu_max).bits
 
-    @pytest.mark.parametrize("family", ["ring", "lattice"])
+    @pytest.mark.parametrize("family", [
+        name for name, fam in leakage.FAMILIES.items() if fam.bound])
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("noise", ["ideal", "paper-exp"])
     def test_design_point_is_the_curves_one(self, family, k, noise):
@@ -190,6 +191,17 @@ class TestSolve:
             else:
                 assert report[key] == pytest.approx(want, rel=1e-12), key
 
+    def test_interpolation_golden_report(self):
+        report = json.loads(_run(["solve", "--family", "interpolation",
+                                  "--k", "4", "--n", "1000"]).output)
+        assert report == {
+            "family": "interpolation", "k": 4, "n": 1000, "delta": 0.25,
+            "epsilon": 0.01,
+            "noise": {"eta": 1.0, "p_dark": 0.0, "visibility": 1.0},
+            "m": 5299, "p_k": 0.0007548594074353652, "repetitions": 19,
+            "worst_case_error": 0.008647819376891422,
+            "qil_bits": 563.0251135499932}
+
     def test_interpolation_k_up_to_codeword_length(self):
         # m = 530 at n = 100, delta = 0.25: k = m is the largest block
         args = ["solve", "--family", "interpolation", "--n", "100",
@@ -200,6 +212,22 @@ class TestSolve:
             assert result.exit_code == 2
             assert "Invalid value for '--k'" in result.output
             assert "k <= m" in result.output
+
+    @pytest.mark.parametrize("family", sorted(leakage.FAMILIES))
+    def test_k_range_from_the_table(self, family):
+        # the default n = 1000, delta = 0.25 give m = 5299; ring k = 12 is
+        # never accepted here, it builds a 592 MiB DFT
+        fam = leakage.FAMILIES[family]
+        k_max = fam.k_max or gv_binary_length(1000, 0.25)
+        assert _run(["solve", "--family", family,
+                     "--k", str(fam.k_min)]).exit_code == 0
+        for k in (fam.k_min - 1, k_max + 1):
+            if k < 1:
+                continue
+            result = CliRunner().invoke(main, ["solve", "--family", family,
+                                               "--k", str(k)])
+            assert result.exit_code == 2
+            assert "Invalid value for '--k'" in result.output
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

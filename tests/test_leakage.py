@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qfp import leakage
 from qfp.analysis import InfeasibleError, NoiseModel
 from qfp.codes import binary_entropy, gv_binary_rate
 from qfp.leakage import (_coherent_family_qil, _log2_dim_window, _poisson_entropy, _typical_tail,
@@ -102,6 +103,11 @@ class TestMajorizationBounds:
     def test_ring_scales_with_signals(self):
         assert qil_ring(2, 2000, 0.1).bits == pytest.approx(
             2.0 * qil_ring(2, 1000, 0.1).bits, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_ring_vacuum_leaks_nothing(self, k):
+        # the inverse DFT of the vacuum leaves round-off off index 0
+        assert qil_ring(k, 1001, 0.0).bits == 0.0
 
 
 def _window_bits(n, m_k, mu_min, mu_max, radius, eps):
@@ -244,6 +250,24 @@ class TestDeltaOptimization:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             optimize_delta_for_qil("torus", 2, 1e3, 0.01)
+        with pytest.raises(ValueError):  # no coherent-state bound
+            optimize_delta_for_qil("interpolation", 2, 1e3, 0.01)
+
+    @pytest.mark.parametrize("family,hook", [("ring", "qil_ring"),
+                                             ("lattice", "lattice_mu_range")])
+    def test_bounds_resolve_through_module_globals(self, monkeypatch, family,
+                                                   hook):
+        # the benchmark's tracer rebinds module globals only, so each delta
+        # evaluation and each family's bound must be reached through them
+        calls = {"_coherent_family_qil": 0, hook: 0}
+        for name in calls:
+            def spy(*args, _real=getattr(leakage, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(leakage, name, spy)
+        optimize_delta_for_qil(family, 2, 1e3, 0.01)
+        assert calls["_coherent_family_qil"] == calls[hook] > 0
 
     def test_optimal_lb_below_beamsplitter_amplitude(self):
         bs = optimize_delta_for_qil("ring", 3, 1e4, 0.01,
