@@ -339,10 +339,9 @@ def ed_estimate_cmd(dimension, alpha2, trials, seed, variant, out) -> None:
     v = rng.normal(size=dimension)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    fam = "ed_real" if variant == "real" else "ed_complex"
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,
-        protocol=ProtocolInstance(family=fam, s=dimension,
+        protocol=ProtocolInstance(family=f"ed_{variant}", s=dimension,
                                   alpha=complex(math.sqrt(alpha2))),
         noise=IDEAL_NOISE, input_x=u, input_y=v)
     res = montecarlo.simulate_ed(plan)

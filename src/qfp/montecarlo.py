@@ -33,6 +33,8 @@ __all__ = [
 
 _BLOCK_STRIDE = 1 << 40  # Philox counter steps reserved per block of trials
 _BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
+# ED family name -> encode_ed's variant
+_ED_VARIANTS = {"ed_real": "real", "ed_complex": "complex"}
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,15 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     one uniform compared with that probability, for both ports at once.
     """
     protocol = plan.protocol
-    if protocol.family not in ("ed_real", "ed_complex"):
+    variant = _ED_VARIANTS.get(protocol.family)
+    if variant is None:
         raise ValueError(f"not an ED family: {protocol.family!r}")
+    if plan.noise.visibility != 1.0:
+        raise ValueError(f"the ED click model has no visibility term, got "
+                         f"visibility {plan.noise.visibility}")
     if plan.trials < 2:
         raise ValueError(f"simulate_ed needs >= 2 trials for the sample "
                          f"standard error, got {plan.trials}")
-    variant = "real" if protocol.family == "ed_real" else "complex"
     amps_u = encode_ed(plan.input_x, protocol.alpha, variant)
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)
     # row 0 is the dark port, row 1 the light port

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .codes import _signal_blocks
 from .constellations import _qubit_pair, interpolation_signal
@@ -85,6 +84,10 @@ def _beamsplitter_blocks(cutoff: int) -> tuple[np.ndarray, ...]:
 
     Block T acts on basis |T - j photons in mode a, j in mode b>, j = 0..T.
     """
+    # imported on first use: no command reaches this, and at module top
+    # scipy.linalg would load for every command
+    from scipy.linalg import expm
+
     blocks = []
     for total in range(cutoff + 1):
         dim = total + 1

@@ -520,14 +520,19 @@ def test_help_shows_defaults():
     assert "default: 1000" in n_option
 
 
+def _fresh_stdout(code):
+    """stdout of ``code`` run in a fresh interpreter."""
+    src = Path(qfp.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def test_import_leaves_out_scipy_stats():
     """The tail kernels call scipy.special directly; importing the CLI must
     not pull in scipy.stats (about 0.5 s and 20 MiB)."""
     code = "import sys, qfp.cli; print('scipy.stats' in sys.modules)"
-    src = Path(qfp.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_stdout(code) == "False"
 
 
 def test_import_leaves_out_scipy_optimize_and_sparse():
@@ -537,7 +542,35 @@ def test_import_leaves_out_scipy_optimize_and_sparse():
     code = ("import sys, qfp.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'optimize'], "
             "['scipy', 'sparse'])))")
-    src = Path(qfp.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_stdout(code) == "[]"
+
+
+_LOADS_LINALG = "print('scipy.linalg' in sys.modules)"
+
+
+def test_import_leaves_out_scipy_linalg():
+    """Only the oracle's beamsplitter blocks call scipy.linalg.expm, and it
+    imports expm where it calls it."""
+    assert _fresh_stdout(f"import sys, qfp.cli; {_LOADS_LINALG}") == "False"
+
+
+def test_commands_leave_out_scipy_linalg():
+    """No command reaches the oracle's beamsplitter blocks, so none of them
+    loads scipy.linalg."""
+    commands = [
+        ["verify"],
+        ["curves", "--preset", "fig2", "--n-points", "1"],
+        ["simulate", "--k", "1", "--m", "300", "--delta", "0.25",
+         "--trials", "2000"],
+        ["solve", "--family", "ring"],
+        ["solve", "--family", "lattice", "--k", "3"],
+        ["solve", "--family", "interpolation", "--k", "4"],
+        ["ed-estimate", "--trials", "100"],
+    ]
+    code = ("import sys\n"
+            "from click.testing import CliRunner\n"
+            "from qfp.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    assert CliRunner().invoke(main, args).exit_code == 0, args\n"
+            + _LOADS_LINALG)
+    assert _fresh_stdout(code) == "False"

@@ -1,7 +1,10 @@
 """Tests for the information-leakage bounds."""
 
+import csv
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,8 @@ from scipy import stats
 from qfp import leakage
 from qfp.analysis import InfeasibleError, NoiseModel
 from qfp.codes import binary_entropy, gv_binary_rate
-from qfp.leakage import (_coherent_family_qil, _log2_dim_window, _poisson_entropy, _typical_tail,
-                         asymptotic_bound, classical_reference,
+from qfp.leakage import (_coherent_family_qil, _log2_fock_dim, _poisson_pmf,
+                         _typical_tail, asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
                          lambda_ring, lambda_ring_series,
                          optimize_delta_for_qil, qil_interpolation, qil_ring,
@@ -47,6 +50,25 @@ def _lambda_ring_inline(k, beta_k):
     return np.clip(vec, 0.0, None)
 
 
+def _mp_ring(k, b2):
+    """Lambda of one ring signal to 50 digits: the Poisson(b2) series folded
+    mod 2^k, summed until its terms past the mean fall below 1e-60."""
+    with mpmath.workdps(50):
+        b2 = mpmath.mpf(b2)
+        vec = [mpmath.mpf(0)] * (1 << k)
+        term, h = mpmath.exp(-b2), 0
+        while h <= b2 or term > mpmath.mpf(10) ** -60:
+            vec[h % (1 << k)] += term
+            h += 1
+            term *= b2 / h
+        return vec
+
+
+def _mp_entropy(vec):
+    with mpmath.workdps(50):
+        return -sum(p * mpmath.log(p, 2) for p in vec if p > 0)
+
+
 class TestLambdaVectors:
     def test_interpolation_shape_and_sum(self):
         lam = lambda_interpolation(3, 0.1)
@@ -61,6 +83,31 @@ class TestLambdaVectors:
         got = lambda_ring(k, beta)
         want = lambda_ring_series(k, beta)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_series_matches_mpmath(self, k):
+        # every term of the series is positive, so it cannot cancel
+        for b2 in np.logspace(-12.0, 2.0, 29):
+            beta = math.sqrt(b2)
+            got = lambda_ring_series(k, beta)
+            want = _mp_ring(k, abs(beta) ** 2)
+            for g, w in zip(got, want):
+                if g > 1e-16:
+                    assert abs(g - w) <= 1e-12 * w, (k, b2)
+
+    def test_poisson_pmf_of_the_vacuum(self):
+        assert _poisson_pmf(0.0).tolist() == [1.0]
+
+    def test_report_ring_filter_entropy_error_at_fig2(self):
+        # no assertion: the DFT filter cancels at weak light, and how much
+        # it errs at the fig2 design points is printed for the record
+        path = Path(__file__).parent / "data" / "fig2.csv"
+        for row in csv.DictReader(path.read_text().splitlines()):
+            k, b2 = int(row["k"]), float(row["mu"]) / float(row["m_k"])
+            got = shannon_entropy(lambda_ring(k, math.sqrt(b2)))
+            want = _mp_entropy(_mp_ring(k, b2))
+            print(f"n={row['n']} k={k} beta^2={b2:.3g}: H(lambda_ring) "
+                  f"relative error {float(abs(got - want) / want):.2e}")
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_ring_equals_inline_table(self, k):
@@ -110,10 +157,16 @@ class TestMajorizationBounds:
         assert qil_ring(k, 1001, 0.0).bits == 0.0
 
 
+def _window_dim(m_k, mu_min, mu_max, radius):
+    """The typical window's Fock count, as fannes_audenaert_bound takes it."""
+    return _log2_fock_dim(mu_max + radius,
+                          mu_max - mu_min + 2.0 * radius + 1.0, m_k)
+
+
 def _window_bits(n, m_k, mu_min, mu_max, radius, eps):
     """Typical-subspace bound for one window radius and tail budget eps."""
     gamma = math.sqrt(2.0 * eps)
-    return (_log2_dim_window(mu_max, mu_min, radius, m_k) + 2.0 * n * gamma
+    return (_window_dim(m_k, mu_min, mu_max, radius) + 2.0 * n * gamma
             + binary_entropy(gamma))
 
 
@@ -145,7 +198,7 @@ def _fixed_budget_bits(n, m_k, mu_min, mu_max, eps):
 def _assert_equals_brute_force(n, m_k, mu_min, mu_max):
     bound = fannes_audenaert_bound(n, m_k, mu_min, mu_max)
     bits, radius = _brute_force_minimum(n, m_k, mu_min, mu_max)
-    assert _log2_dim_window(mu_max, mu_min, _BRUTE_MAX_RADIUS, m_k) >= bits
+    assert _window_dim(m_k, mu_min, mu_max, _BRUTE_MAX_RADIUS) >= bits
     assert bound.bits == bits
     assert bound.subterms["window_radius"] == radius
     assert bound.subterms["eps_prime"] == _typical_tail(mu_min, mu_max, radius)
@@ -215,7 +268,7 @@ class TestAsymptoticBound:
         # below mu ~ 0.3 the Gaussian entropy 1/2 log2(2 pi e mu) is smaller
         # than the Poisson entropy (negative at mu = 0.01), so it is no bound
         index = asymptotic_bound(1e4, mu, mu, 64).subterms["index_entropy"]
-        assert index == _poisson_entropy(mu) >= 0.0
+        assert index == shannon_entropy(_poisson_pmf(mu)) >= 0.0
         assert index == pytest.approx(
             stats.poisson(mu).entropy() / math.log(2.0), rel=1e-9)
 

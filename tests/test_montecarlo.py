@@ -217,6 +217,18 @@ class TestEdSimulation:
         with pytest.raises(ValueError):
             simulate_ed(plan)
 
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.99])
+    def test_rejects_reduced_visibility(self, visibility):
+        # the ED click model has no visibility term, so it would be ignored
+        u, v = _unit_pair()
+        plan = TrialPlan(trials=10, master_seed=0,
+                         protocol=ProtocolInstance(family="ed_real", s=64,
+                                                   alpha=math.sqrt(0.5)),
+                         noise=NoiseModel(visibility=visibility),
+                         input_x=u, input_y=v)
+        with pytest.raises(ValueError, match="visibility"):
+            simulate_ed(plan)
+
     def test_rejects_single_trial(self):
         # one trial has no sample standard error (ddof=1 divides by zero)
         with pytest.raises(ValueError, match=">= 2 trials"):
