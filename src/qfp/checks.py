@@ -94,7 +94,7 @@ def ring_gray_break(ks) -> tuple[int, int] | None:
     """First (k, position) whose ring neighbour, wrap-around included,
     carries a label more than one bit away; None when every k holds."""
     for k in ks:
-        labels = codes.ring_gray(k).label_at
+        labels = codes.ring_gray(k)
         size = 1 << k
         for pos in range(size):
             a, b = int(labels[pos]), int(labels[(pos + 1) % size])

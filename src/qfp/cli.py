@@ -228,10 +228,11 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
                                      param_hint="'--epsilon'")
         _reject_noise(f"the {family} family is modelled without noise",
                       noise, eta, p_dark, visibility)
-    if not fam.k_min <= k <= (fam.k_max or m):
-        k_max = fam.k_max or f"m, the codeword length ({m})"
+    k_max = min(fam.k_max or m, m)
+    if not fam.k_min <= k <= k_max:
+        cap = " (k <= m, the codeword length)" if k_max == m else ""
         raise click.BadParameter(f"the {family} family needs {fam.k_min} <= k "
-                                 f"<= {k_max}", param_hint="'--k'")
+                                 f"<= {k_max}{cap}", param_hint="'--k'")
 
     report: dict = {"family": family, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon, "noise": asdict(nm)}
@@ -260,12 +261,18 @@ def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
              visibility) -> None:
     """Monte Carlo worst-case-pair run versus the closed-form prediction."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
+    if k > m:
+        raise click.BadParameter(f"needs k <= m, the codeword length ({m})",
+                                 param_hint="'--k'")
+    x, y = codes.worst_case_pair(m, delta, k)
+    if np.array_equal(x, y):
+        raise click.BadParameter(f"round(m * delta) = 0 at m = {m}: the pair "
+                                 f"would be equal", param_hint="'--delta'")
     if mu is None:
         try:
             mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)
         except InfeasibleError as exc:
             raise click.ClickException(str(exc)) from None
-    x, y = codes.worst_case_pair(m, delta, k)
     plan = montecarlo.TrialPlan(
         trials=trials, master_seed=seed,
         protocol=ProtocolInstance(family="ring", k=k, mu=mu),

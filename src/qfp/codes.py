@@ -10,13 +10,11 @@ directly as worst-case pairs at a prescribed Hamming distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "MAX_GRAY_BITS",
-    "GrayMap",
     "binary_entropy",
     "gv_binary_length",
     "gv_binary_rate",
@@ -27,19 +25,6 @@ __all__ = [
 ]
 
 MAX_GRAY_BITS = 24  # widest label the ring and lattice Gray maps cover
-
-
-@dataclass(frozen=True)
-class GrayMap:
-    """Bijection between k-bit labels and positions on a ring or lattice.
-
-    ``position_of[label]`` is the ring index (int) or the flattened
-    ``row * cols + col`` grid index.  ``label_at`` is the inverse.
-    """
-
-    position_of: np.ndarray = field(repr=False)
-    label_at: np.ndarray = field(repr=False)
-    shape: tuple[int, ...] = ()
 
 
 def binary_entropy(x: float) -> float:
@@ -77,45 +62,41 @@ def gv_qary_rate(delta_q: float, q: int) -> float:
     return math.log2(q) - delta_q * math.log2(q - 1) - binary_entropy(delta_q)
 
 
-def _reflected_gray(k: int) -> np.ndarray:
-    """label_at[pos] for the k-bit binary-reflected Gray code."""
-    pos = np.arange(1 << k, dtype=np.int64)
+def _reflected_gray(size: int) -> np.ndarray:
+    """Binary-reflected Gray label of each position 0, ..., size - 1."""
+    pos = np.arange(size, dtype=np.int64)
     return pos ^ (pos >> 1)
 
 
-def ring_gray(k: int) -> GrayMap:
-    """Binary-reflected Gray code on a ring of 2^k positions.
-
-    Cyclically adjacent positions (including the wrap-around pair) carry
-    labels at Hamming distance one.
-    """
+def _ring_size(k: int) -> int:
+    """2^k, the number of ring positions."""
     if not 1 <= k <= MAX_GRAY_BITS:
-        raise ValueError(f"ring_gray requires 1 <= k <= {MAX_GRAY_BITS}, got {k}")
-    label_at = _reflected_gray(k)
-    position_of = np.empty_like(label_at)
-    position_of[label_at] = np.arange(1 << k, dtype=np.int64)
-    return GrayMap(position_of=position_of, label_at=label_at, shape=(1 << k,))
+        raise ValueError(f"ring needs 1 <= k <= {MAX_GRAY_BITS}, got {k}")
+    return 1 << k
 
 
-def lattice_gray(k: int) -> GrayMap:
-    """Product of two reflected Gray codes on a 2^ceil(k/2) x 2^floor(k/2) grid.
+def ring_gray(k: int) -> np.ndarray:
+    """The label at each of the 2^k ring positions, a binary-reflected Gray
+    code: cyclically adjacent positions (including the wrap-around pair)
+    carry labels at Hamming distance one."""
+    return _reflected_gray(_ring_size(k))
+
+
+def _lattice_shape(k: int) -> tuple[int, int]:
+    """(rows, cols) = (2^ceil(k/2), 2^floor(k/2)) of the lattice grid."""
+    if not 2 <= k <= MAX_GRAY_BITS:
+        raise ValueError(f"lattice needs 2 <= k <= {MAX_GRAY_BITS}, got {k}")
+    return 1 << (k + 1) // 2, 1 << k // 2
+
+
+def lattice_gray(k: int) -> np.ndarray:
+    """The rows x cols grid of labels, a product of two reflected Gray codes.
 
     The high ceil(k/2) bits of a label index the row, the low floor(k/2)
     bits the column; grid-adjacent labels differ in exactly one bit.
     """
-    if not 2 <= k <= MAX_GRAY_BITS:
-        raise ValueError(f"lattice_gray requires 2 <= k <= {MAX_GRAY_BITS}, got {k}")
-    k_hi = (k + 1) // 2
-    k_lo = k // 2
-    rows, cols = 1 << k_hi, 1 << k_lo
-    row_labels = _reflected_gray(k_hi)
-    col_labels = _reflected_gray(k_lo)
-    label_at = (row_labels[:, None] << k_lo) | col_labels[None, :]
-    label_at = label_at.reshape(-1)
-    position_of = np.empty_like(label_at)
-    position_of[label_at] = np.arange(rows * cols, dtype=np.int64)
-    return GrayMap(position_of=position_of, label_at=label_at,
-                   shape=(rows, cols))
+    rows, cols = _lattice_shape(k)
+    return _reflected_gray(rows)[:, None] * cols | _reflected_gray(cols)
 
 
 def _signal_blocks(seq, k: int) -> np.ndarray:

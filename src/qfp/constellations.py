@@ -8,14 +8,14 @@ explicit per-signal unit vectors in C^k (x) C^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GrayMap, _signal_blocks, lattice_gray, ring_gray
+from .codes import (_lattice_shape, _ring_size, _signal_blocks, lattice_gray,
+                    ring_gray)
 
 __all__ = [
-    "Constellation",
     "ProtocolInstance",
     "ring_constellation",
     "lattice_constellation",
@@ -28,14 +28,6 @@ __all__ = [
 ]
 
 _STATE_DIM_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class Constellation:
-    """Labeled set of complex signal amplitudes with its Gray-label map."""
-
-    points: np.ndarray = field(repr=False)
-    labels: GrayMap
 
 
 @dataclass(frozen=True)
@@ -57,29 +49,30 @@ def _block_labels(codeword: np.ndarray, k: int) -> np.ndarray:
     return _signal_blocks(codeword, k).astype(np.int64) @ weights
 
 
-def ring_constellation(k: int, beta: float) -> Constellation:
-    """2^k points omega^j * beta; Gray position 0 on the positive real axis."""
-    gray = ring_gray(k)
-    j = np.arange(1 << k)
-    points = beta * np.exp(2j * np.pi * j / (1 << k))
-    return Constellation(points=points, labels=gray)
+def ring_constellation(k: int, beta: float) -> np.ndarray:
+    """The point beta e^(2 pi i j / 2^k) at each ring position j, position 0
+    on the positive real axis."""
+    j = np.arange(_ring_size(k))
+    return beta * np.exp(2j * np.pi * j / (1 << k))
 
 
-def lattice_constellation(k: int, beta_rms: float) -> Constellation:
-    """Centered rectangular grid whose mean squared modulus equals beta_rms^2.
-
-    Rows run along the imaginary axis, columns along the real axis; point
-    index is the flattened grid position of the lattice Gray map.
-    """
-    gray = lattice_gray(k)
-    rows, cols = gray.shape
+def _lattice_grid(k: int, beta_rms: float) -> tuple[int, int, float]:
+    """(rows, cols, spacing) of the centered grid whose mean squared modulus
+    equals beta_rms^2."""
+    rows, cols = _lattice_shape(k)
     # mean over grid points of dx^2 + dy^2 for unit spacing
     unit_ms = ((cols * cols - 1) + (rows * rows - 1)) / 12.0
-    spacing = beta_rms / math.sqrt(unit_ms)
-    r, c = np.divmod(np.arange(rows * cols), cols)
-    x = (c - (cols - 1) / 2.0) * spacing
-    y = ((rows - 1) / 2.0 - r) * spacing
-    return Constellation(points=x + 1j * y, labels=gray)
+    return rows, cols, beta_rms / math.sqrt(unit_ms)
+
+
+def lattice_constellation(k: int, beta_rms: float) -> np.ndarray:
+    """The point at each position of the rows x cols grid of ``lattice_gray``:
+    a centered rectangular grid whose mean squared modulus is beta_rms^2.
+    Rows run along the imaginary axis, columns along the real axis."""
+    rows, cols, spacing = _lattice_grid(k, beta_rms)
+    x = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+    y = ((rows - 1) / 2.0 - np.arange(rows)[:, None]) * spacing
+    return x + 1j * y
 
 
 def _signal_amplitude(m: float, k: int, mu: float) -> float:
@@ -87,7 +80,9 @@ def _signal_amplitude(m: float, k: int, mu: float) -> float:
     return math.sqrt(mu / (m / k))
 
 
-_CONSTELLATIONS = {"ring": ring_constellation, "lattice": lattice_constellation}
+# family -> (labels by position, points by position)
+_MODULATIONS = {"ring": (ring_gray, ring_constellation),
+                "lattice": (lattice_gray, lattice_constellation)}
 
 
 def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
@@ -97,22 +92,25 @@ def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
     modulus, so the total mean photon number is mu on the ring and mu
     averaged over all codewords on the lattice.
     """
-    if family not in _CONSTELLATIONS:
+    if family not in _MODULATIONS:
         raise ValueError(f"unsupported family {family!r}; the encoder "
-                         f"knows {sorted(_CONSTELLATIONS)}")
+                         f"knows {sorted(_MODULATIONS)}")
     codeword = np.asarray(codeword, dtype=np.uint8)
-    const = _CONSTELLATIONS[family](k, _signal_amplitude(codeword.size, k, mu))
-    return const.points[const.labels.position_of[_block_labels(codeword, k)]]
+    gray, constellation = _MODULATIONS[family]
+    by_label = np.empty(1 << k, dtype=complex)
+    by_label[gray(k)] = constellation(k, _signal_amplitude(codeword.size, k, mu))
+    return by_label[_block_labels(codeword, k)]
 
 
 def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:
-    """Per-codeword total mean photon number range [mu_min, mu_max]."""
-    beta_rms = _signal_amplitude(m, k, mu)
-    const = lattice_constellation(k, beta_rms)
-    n_signals = -(-m // k)
-    intensities = np.abs(const.points) ** 2
-    return (n_signals * float(intensities.min()),
-            n_signals * float(intensities.max()))
+    """Per-codeword total mean photon number range [mu_min, mu_max]: the
+    signal count times the grid's least and greatest |point|^2.  rows and
+    cols are even, so with spacing s the four centre points have s^2/2 and
+    the corners s^2 ((rows - 1)^2 + (cols - 1)^2) / 4."""
+    rows, cols, spacing = _lattice_grid(k, _signal_amplitude(m, k, mu))
+    s2_signals = -(-m // k) * spacing * spacing
+    return (s2_signals / 2.0,
+            s2_signals * ((rows - 1) ** 2 + (cols - 1) ** 2) / 4.0)
 
 
 def encode_ed(u: np.ndarray, alpha: complex, variant: str = "real") -> np.ndarray:

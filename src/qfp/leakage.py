@@ -20,7 +20,8 @@ from .analysis import (IDEAL_NOISE, InfeasibleError, NoiseModel, _first_true,
                        interp_worst_case_error, solve_amplitude,
                        solve_repetition, worst_case_error_with_threshold)
 from .codes import MAX_GRAY_BITS, binary_entropy, gv_binary_rate
-from .constellations import _signal_amplitude, lattice_mu_range
+from .constellations import (_signal_amplitude, lattice_mu_range,
+                             ring_constellation)
 
 __all__ = [
     "LeakageBound",
@@ -113,7 +114,7 @@ def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12)."""
     two_k = 1 << k
     j = np.arange(two_k)
-    omega_j = np.exp(2j * np.pi * j / two_k)
+    omega_j = ring_constellation(k, 1.0)
     phases = np.exp(-2j * np.pi * np.outer(j, j) / two_k)
     omega_j.flags.writeable = False
     phases.flags.writeable = False

@@ -94,7 +94,7 @@ class TestRingError:
 
     def test_integer_step_matches_pair_step(self):
         k, beta = 3, 0.8
-        points = ring_constellation(k, beta).points
+        points = ring_constellation(k, beta)
         for steps in range(1, (1 << (k - 1)) + 1):
             delta = steps / k
             err = ring_worst_case_error(k, beta ** 2, delta)
@@ -115,7 +115,7 @@ class TestClickModel:
         assert p_E == 0.0
         kd = k * delta
         lo, frac = math.floor(kd), k * delta - math.floor(kd)
-        points = ring_constellation(k, beta).points
+        points = ring_constellation(k, beta)
         expect = ((1.0 - frac) * (1.0 - no_click_prob(points[0], points[lo]))
                   + frac * (1.0 - no_click_prob(points[0], points[lo + 1])))
         assert p_D == pytest.approx(expect, rel=1e-12)

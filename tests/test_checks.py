@@ -3,18 +3,16 @@ perturbed; otherwise a check could pass whatever it measures.  Where the
 closed form is an inline expression (overlap, USC), the oracle side is
 perturbed instead.  Counts pass below 1."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from qfp import analysis, checks, codes, oracle
 
 
-def _swap_two_labels(gray):
-    label_at = gray.label_at.copy()
-    label_at[[1, 2]] = label_at[[2, 1]]
-    return dataclasses.replace(gray, label_at=label_at)
+def _swap_two_labels(labels):
+    labels = labels.copy()
+    labels[[1, 2]] = labels[[2, 1]]
+    return labels
 
 
 def _usc_case(statistic, inputs):

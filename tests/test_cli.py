@@ -214,6 +214,17 @@ class TestSolve:
             assert "k <= m" in result.output
 
     @pytest.mark.parametrize("family", sorted(leakage.FAMILIES))
+    def test_k_at_most_codeword_length(self, family):
+        # n = 1, delta = 0.25 give m = 6: a signal carries at most m bits,
+        # whatever the family's own k range
+        args = ["solve", "--family", family, "--n", "1", "--k"]
+        assert _run([*args, "6"]).exit_code == 0
+        result = CliRunner().invoke(main, [*args, "7"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--k'" in result.output
+        assert "k <= m" in result.output
+
+    @pytest.mark.parametrize("family", sorted(leakage.FAMILIES))
     def test_k_range_from_the_table(self, family):
         # the default n = 1000, delta = 0.25 give m = 5299; ring k = 12 is
         # never accepted here, it builds a 592 MiB DFT
@@ -416,6 +427,11 @@ class TestBadInput:
         (["verify", "--out", "."], "--out"),
         (["usc", "--p", "0.2", "--out", "."], "--out"),
         (["ed-estimate", "--out", "."], "--out"),
+        # a signal carries k of the codeword's m bits
+        (["simulate", "--k", "5", "--m", "3", "--delta", "0.34"], "--k"),
+        # round(m * delta) = 0 would simulate an equal pair
+        (["simulate", "--k", "1", "--m", "10", "--delta", "0.04"], "--delta"),
+        (["simulate", "--k", "1", "--m", "1", "--delta", "0.5"], "--delta"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)
@@ -543,6 +559,20 @@ def test_import_leaves_out_scipy_optimize_and_sparse():
             "if m.split('.')[:2] in (['scipy', 'optimize'], "
             "['scipy', 'sparse'])))")
     assert _fresh_stdout(code) == "[]"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_lattice_solve_builds_no_2_to_the_k_grid():
+    """The lattice's photon range is the grid's closed form, so a k = 24
+    solve stays small; building the 2^24 points took 1.1 GiB.  The child's
+    own peak is VmHWM: its ru_maxrss starts at this process's size."""
+    code = ("from click.testing import CliRunner\n"
+            "from qfp.cli import main\n"
+            "args = ['solve', '--family', 'lattice', '--k', '24']\n"
+            "assert CliRunner().invoke(main, args).exit_code == 0\n"
+            "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmHWM:')])")
+    assert int(_fresh_stdout(code)) < 100 * 1024  # kB
 
 
 _LOADS_LINALG = "print('scipy.linalg' in sys.modules)"

@@ -7,28 +7,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfp.constellations import (encode, encode_ed, interpolation_qubits, interpolation_signal,
+from qfp import codes, constellations, leakage
+from qfp.constellations import (_signal_amplitude, encode, encode_ed,
+                                interpolation_qubits, interpolation_signal,
                                 interpolation_state_vector,
                                 lattice_constellation, lattice_mu_range,
                                 ring_constellation)
 
+# (family, k) for each coherent entry of the family table, k <= 8
+_COHERENT = [(name, k) for name, fam in leakage.FAMILIES.items() if fam.bound
+             for k in range(fam.k_min, min(fam.k_max, 8) + 1)]
+
+
+@pytest.mark.parametrize("family,k", _COHERENT)
+def test_encoder_reads_the_family_arrays(family, k):
+    # labels and points by position, from the family's own functions
+    labels = getattr(codes, f"{family}_gray")(k).reshape(-1)
+    mu = 3.7
+    # the codeword listing every label once, first bit most significant
+    bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    every = bits.astype(np.uint8).reshape(-1)
+    points = getattr(constellations, f"{family}_constellation")(
+        k, _signal_amplitude(every.size, k, mu)).reshape(-1)
+    assert np.array_equal(encode(every, family, k, mu),
+                          points[np.argsort(labels)])
+    rng = np.random.default_rng(k)
+    m = 64 * k
+    codewords = [rng.integers(0, 2, m).astype(np.uint8) for _ in range(20)]
+    if family == "ring":
+        for codeword in [every, *codewords]:
+            total = np.sum(np.abs(encode(codeword, family, k, mu)) ** 2)
+            assert total == pytest.approx(mu, rel=1e-12)
+    else:
+        lo, hi = lattice_mu_range(k, m, mu)
+        for codeword in codewords:
+            total = np.sum(np.abs(encode(codeword, family, k, mu)) ** 2)
+            assert lo * (1 - 1e-12) <= total <= hi * (1 + 1e-12)
+
 
 class TestRingConstellation:
     def test_uniform_modulus(self):
-        const = ring_constellation(3, 1.7)
-        assert np.allclose(np.abs(const.points), 1.7)
+        points = ring_constellation(3, 1.7)
+        assert np.allclose(np.abs(points), 1.7)
 
     def test_first_position_on_real_axis(self):
-        const = ring_constellation(2, 1.0)
-        assert const.points[0] == pytest.approx(1.0)
+        assert ring_constellation(2, 1.0)[0] == pytest.approx(1.0)
 
     def test_adjacent_labels_adjacent_points(self):
         k = 3
-        const = ring_constellation(k, 1.0)
+        points = ring_constellation(k, 1.0)
         step = 2.0 * math.pi / (1 << k)
         for pos in range(1 << k):
-            a = const.points[pos]
-            b = const.points[(pos + 1) % (1 << k)]
+            a = points[pos]
+            b = points[(pos + 1) % (1 << k)]
             ang = abs(np.angle(b / a))
             assert ang == pytest.approx(step, rel=1e-9)
 
@@ -66,13 +97,33 @@ class TestEncodeRing:
 
 class TestLattice:
     def test_rms_normalization(self):
-        const = lattice_constellation(4, 1.3)
-        ms = np.mean(np.abs(const.points) ** 2)
+        ms = np.mean(np.abs(lattice_constellation(4, 1.3)) ** 2)
         assert ms == pytest.approx(1.3 ** 2, rel=1e-12)
 
     def test_centered(self):
-        const = lattice_constellation(5, 1.0)
-        assert abs(np.mean(const.points)) < 1e-12
+        assert abs(np.mean(lattice_constellation(5, 1.0))) < 1e-12
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_mu_range_is_the_grid_extremes(self, k):
+        # the closed form against the signal count times the least and
+        # greatest |point|^2 of the built grid
+        for m in (k, 1000, 98765):
+            n_signals = -(-m // k)
+            for beta in np.logspace(-4, 2, 13):
+                mu = beta * beta * m / k
+                lo, hi = lattice_mu_range(k, m, mu)
+                intensities = np.abs(lattice_constellation(
+                    k, _signal_amplitude(m, k, mu))) ** 2
+                assert lo == pytest.approx(n_signals * intensities.min(),
+                                           rel=2e-15, abs=0.0)
+                assert hi == pytest.approx(n_signals * intensities.max(),
+                                           rel=2e-15, abs=0.0)
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError):
+            lattice_mu_range(1, 100, 1.0)
+        with pytest.raises(ValueError):
+            lattice_constellation(25, 1.0)
 
     def test_mu_range_brackets_average(self):
         k, m, mu = 4, 120, 9.0
