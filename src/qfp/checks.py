@@ -30,8 +30,8 @@ def overlap_deviation(pairs) -> float:
     exp(-|a - b|^2 / 2) over coherent amplitude pairs (a, b)."""
     worst = 0.0
     for a, b in pairs:
-        got = abs(oracle.fock_overlap(oracle.coherent_fock(a, 60),
-                                      oracle.coherent_fock(b, 60)))
+        got = abs(np.vdot(oracle.coherent_fock(a, 60),
+                          oracle.coherent_fock(b, 60)))
         worst = max(worst, abs(got - math.exp(-0.5 * abs(a - b) ** 2)))
     return worst
 

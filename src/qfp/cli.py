@@ -144,6 +144,14 @@ def _reject_noise(message: str, noise, eta, p_dark, visibility) -> None:
             raise click.BadParameter(message, param_hint=f"'{opt}'")
 
 
+def _reject_equal_pair(m: int, delta: float) -> None:
+    """Usage error where no bit of an m-bit pair at relative distance delta
+    would differ."""
+    if round(m * delta) == 0:
+        raise click.BadParameter(f"round(m * delta) = 0 at m = {m}: the pair "
+                                 f"would be equal", param_hint="'--delta'")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -221,6 +229,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     """Solve protocol parameters for a target error probability."""
     nm = _noise_from(noise or "ideal", eta, p_dark, visibility)
     m = codes.gv_binary_length(n, delta)
+    _reject_equal_pair(m, delta)
     fam = leakage.FAMILIES[family]
     if not fam.noisy:
         if epsilon >= 1.0:
@@ -264,10 +273,8 @@ def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
     if k > m:
         raise click.BadParameter(f"needs k <= m, the codeword length ({m})",
                                  param_hint="'--k'")
+    _reject_equal_pair(m, delta)
     x, y = codes.worst_case_pair(m, delta, k)
-    if np.array_equal(x, y):
-        raise click.BadParameter(f"round(m * delta) = 0 at m = {m}: the pair "
-                                 f"would be equal", param_hint="'--delta'")
     if mu is None:
         try:
             mu = analysis.solve_amplitude(k, m, delta, 0.01, nm)

@@ -177,11 +177,21 @@ def qil_ring(k: int, m: float, beta_k: float) -> LeakageBound:
 
 
 def _log_poisson_tail_bound(mu: float, shift: float) -> float:
-    """log of the Chernoff bound e^{-mu} (e mu / (mu + shift))^(mu + shift)."""
+    """log of the Chernoff bound e^{-mu} (e mu / (mu + shift))^(mu + shift).
+
+    With s = mu + shift and x = shift / s that is s (x - log(s / mu)), and
+    mu / s = 1 - x, so near s = mu log1p(-x) keeps the two logs from
+    cancelling.  s / mu >= 2^-53 never underflows; it overflows only where
+    mu < 2^-1024 s, whose exponent, below -708 s, comes out -inf.  A
+    Chernoff exponent is <= 0, and round-off must not lift it above."""
     s = mu + shift
     if s <= 0.0:
         return 0.0
-    return -mu + s * (1.0 + math.log(mu) - math.log(s)) if mu > 0 else -math.inf
+    if mu <= 0.0:
+        return -math.inf
+    x = shift / s
+    return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
+                              else -math.log(s / mu))))
 
 
 def _typical_tail(mu_min: float, mu_max: float, delta: int) -> float:
@@ -292,7 +302,6 @@ class DeltaOptimum:
 
     delta: float
     bound: LeakageBound
-    m: float
     mu: float
     m_k: float
 
@@ -320,7 +329,7 @@ def _coherent_family_qil(family: str, k: int, n: float, m: float,
     if measurement == "optimal_lb":
         mu /= 2.0
     return DeltaOptimum(delta=delta, bound=FAMILIES[family].bound(n, k, m, mu),
-                        m=m, mu=mu, m_k=m / k)
+                        mu=mu, m_k=m / k)
 
 
 def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,

@@ -33,8 +33,6 @@ __all__ = [
 
 _BLOCK_STRIDE = 1 << 40  # Philox counter steps reserved per block of trials
 _BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
-# ED family name -> encode_ed's variant
-_ED_VARIANTS = {"ed_real": "real", "ed_complex": "complex"}
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,6 @@ class EqualityResult:
     empirical_error: float
     confidence_interval: tuple[float, float]
     d_th: int
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
         empirical_error=errors / plan.trials,
         confidence_interval=wilson_interval(errors, plan.trials),
         d_th=d_th,
-        trials=plan.trials,
     )
 
 
@@ -153,9 +149,9 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     one uniform compared with that probability, for both ports at once.
     """
     protocol = plan.protocol
-    variant = _ED_VARIANTS.get(protocol.family)
-    if variant is None:
+    if not protocol.family.startswith("ed_"):
         raise ValueError(f"not an ED family: {protocol.family!r}")
+    variant = protocol.family.removeprefix("ed_")  # encode_ed checks it
     if plan.noise.visibility != 1.0:
         raise ValueError(f"the ED click model has no visibility term, got "
                          f"visibility {plan.noise.visibility}")

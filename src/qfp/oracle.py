@@ -9,7 +9,6 @@ and allocation-heavy: the point is trustworthiness, not speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,10 +17,8 @@ from .codes import _signal_blocks
 from .constellations import _qubit_pair, interpolation_signal
 
 __all__ = [
-    "TruncatedFockState",
     "default_cutoff",
     "coherent_fock",
-    "fock_overlap",
     "beamsplitter_click_probs",
     "qubit_from_coherent",
     "usc_povm",
@@ -32,27 +29,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedFockState:
-    """Single-mode state on Fock levels 0..cutoff."""
-
-    cutoff: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
-
-
 def default_cutoff(beta: complex) -> int:
     """Poisson-tail-motivated cutoff: mean + 8 standard-deviation-ish margin."""
     b2 = abs(beta) ** 2
     return max(20, math.ceil(b2 + 8.0 * math.sqrt(b2 + 1.0)))
 
 
-def coherent_fock(beta: complex, cutoff: int | None = None) -> TruncatedFockState:
-    """Coherent state |beta> truncated at the given photon-number cutoff."""
+def coherent_fock(beta: complex, cutoff: int | None = None) -> np.ndarray:
+    """Coherent state |beta> as its complex amplitudes on Fock levels
+    0..cutoff."""
     if cutoff is None:
         cutoff = default_cutoff(beta)
     b2 = abs(beta) ** 2
@@ -60,22 +45,16 @@ def coherent_fock(beta: complex, cutoff: int | None = None) -> TruncatedFockStat
         raise ValueError(
             f"|beta|^2 = {b2} exceeds accuracy guard cutoff/3 = {cutoff / 3.0}"
         )
+    if beta == 0:  # the vacuum, of norm 1 exactly
+        return np.eye(1, cutoff + 1, dtype=complex)[0]
     h = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.log(np.maximum(h, 1)))  # log h!, with 0! = 1
-    mags = np.exp(-b2 / 2.0 + h * np.log(abs(beta)) - log_fact / 2.0) \
-        if beta != 0 else np.eye(cutoff + 1)[0]
-    if beta != 0:
-        phase = beta / abs(beta)
-        amps = mags * phase ** h
-    else:
-        amps = mags.astype(complex)
-    return TruncatedFockState(cutoff=cutoff, amplitudes=np.asarray(amps, complex))
-
-
-def fock_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:
-    if a.cutoff != b.cutoff:
-        raise ValueError("cutoff mismatch")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    mags = np.exp(-b2 / 2.0 + h * np.log(abs(beta)) - log_fact / 2.0)
+    amps = np.asarray(mags * (beta / abs(beta)) ** h, complex)
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
+    return amps
 
 
 @lru_cache(maxsize=16)
@@ -102,18 +81,19 @@ def _beamsplitter_blocks(cutoff: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def beamsplitter_click_probs(state_a: TruncatedFockState,
-                             state_b: TruncatedFockState) -> tuple[float, float]:
+def beamsplitter_click_probs(a: np.ndarray, b: np.ndarray
+                             ) -> tuple[float, float]:
     """(dark-port, light-port) click probabilities of the balanced
-    beamsplitter with threshold detectors on both output ports.
+    beamsplitter with threshold detectors on both output ports, for input
+    Fock amplitude vectors a and b of one cutoff.
 
     Convention: equal coherent inputs leave the dark port in vacuum.
     """
-    if state_a.cutoff != state_b.cutoff:
+    if a.size != b.size:
         raise ValueError("cutoff mismatch")
-    cutoff = state_a.cutoff
+    cutoff = a.size - 1
     blocks = _beamsplitter_blocks(cutoff)
-    joint = np.outer(state_a.amplitudes, state_b.amplitudes)
+    joint = np.outer(a, b)
     p_no_dark = 0.0
     p_no_light = 0.0
     for total in range(cutoff + 1):

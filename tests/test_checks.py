@@ -30,7 +30,7 @@ def _projector():
 @pytest.mark.parametrize("measure,bound,module,name,perturb", [
     pytest.param(lambda: checks.overlap_deviation([(0.3 + 0.1j, -0.5j),
                                                    (1.0, 1.2)]), 1e-9,
-                 oracle, "fock_overlap", lambda z: z * (1 + 1e-6),
+                 oracle, "coherent_fock", lambda v: v * (1 + 1e-6),
                  id="overlap"),
     pytest.param(lambda: checks.interp_deviation((2,), (0.5,)), 1e-10,
                  analysis, "interp_nd_prob", lambda p: p + 1e-6, id="interp"),

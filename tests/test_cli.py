@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -328,12 +329,36 @@ class TestSimulate:
         assert report["empirical_error"] == 1.0
 
 
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _details_match(got: str, want: str) -> bool:
+    """Equal text; numbers equal or both below 1e-12, the round-off floor."""
+    if _NUMBER.sub("#", got) != _NUMBER.sub("#", want):
+        return False
+    return all(a == b or max(abs(float(a)), abs(float(b))) < 1e-12
+               for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)))
+
+
+@pytest.fixture(scope="module")
+def verify_result():
+    return _run(["verify"])
+
+
 class TestVerify:
-    def test_all_suites_pass(self):
-        result = _run(["verify"])
-        assert result.exit_code == 0
-        report = json.loads(result.output)
+    def test_all_suites_pass(self, verify_result):
+        assert verify_result.exit_code == 0
+        report = json.loads(verify_result.output)
         assert all(entry["passed"] for entry in report.values())
+
+    def test_matches_golden_json(self, verify_result):
+        report = json.loads(verify_result.output)
+        golden = json.loads((DATA / "verify.json").read_text())
+        assert sorted(report) == sorted(golden)
+        for name, want in golden.items():
+            got = report[name]
+            assert got["passed"] == want["passed"], name
+            assert _details_match(got["detail"], want["detail"]), (got, want)
 
     def test_single_suite_filter(self):
         result = _run(["verify", "--suite", "usc"])
@@ -432,6 +457,13 @@ class TestBadInput:
         # round(m * delta) = 0 would simulate an equal pair
         (["simulate", "--k", "1", "--m", "10", "--delta", "0.04"], "--delta"),
         (["simulate", "--k", "1", "--m", "1", "--delta", "0.5"], "--delta"),
+        # and would solve for a pair at distance 0: mu overflows
+        (["solve", "--delta", "0"], "--delta"),
+        (["solve", "--delta", "1e-20"], "--delta"),
+        (["solve", "--delta", "1e-305"], "--delta"),
+        (["solve", "--delta", "5e-324"], "--delta"),
+        (["solve", "--family", "lattice", "--k", "2", "--n", "10",
+          "--delta", "0.001"], "--delta"),
     ])
     def test_flag_out_of_range(self, args, option):
         result = CliRunner().invoke(main, args)

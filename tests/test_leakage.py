@@ -14,8 +14,9 @@ from scipy import stats
 from qfp import leakage
 from qfp.analysis import InfeasibleError, NoiseModel
 from qfp.codes import binary_entropy, gv_binary_rate
-from qfp.leakage import (_coherent_family_qil, _log2_fock_dim, _poisson_pmf,
-                         _typical_tail, asymptotic_bound, classical_reference,
+from qfp.leakage import (_coherent_family_qil, _log2_fock_dim,
+                         _log_poisson_tail_bound, _poisson_pmf, _typical_tail,
+                         asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
                          lambda_ring, lambda_ring_series,
                          optimize_delta_for_qil, qil_interpolation, qil_ring,
@@ -155,6 +156,31 @@ class TestMajorizationBounds:
     def test_ring_vacuum_leaks_nothing(self, k):
         # the inverse DFT of the vacuum leaves round-off off index 0
         assert qil_ring(k, 1001, 0.0).bits == 0.0
+
+
+def _exact_log_tail(mu, shift):
+    """-mu + s (1 + log mu - log s), s = mu + shift, at 200 digits."""
+    with mpmath.workdps(200):
+        mu, s = mpmath.mpf(mu), mpmath.mpf(mu) + mpmath.mpf(shift)
+        return float(-mu + s * (1 + mpmath.log(mu) - mpmath.log(s)))
+
+
+class TestPoissonTailBound:
+    def test_matches_mpmath_and_never_positive(self):
+        # near s = mu the two logs cancel; the exponent of a Chernoff bound
+        # is <= 0, so a positive value would overflow exp to a bound > 1
+        shifts = [*-np.logspace(-3, 6, 19), 0.0, *np.logspace(-3, 60, 64)]
+        worst = 0.0
+        for mu in np.logspace(-6, 100, 107):
+            for shift in shifts:
+                if mu + shift <= 0.0:
+                    continue
+                got = _log_poisson_tail_bound(mu, shift)
+                want = _exact_log_tail(mu, shift)
+                assert got <= 0.0, (mu, shift)
+                scale = max(1.0, abs(shift), abs(want))
+                worst = max(worst, abs(got - want) / scale)
+        assert worst <= 1e-15
 
 
 def _window_dim(m_k, mu_min, mu_max, radius):

@@ -211,11 +211,15 @@ class TestEdSimulation:
 
     def test_rejects_non_ed_family(self):
         u, v = _unit_pair()
-        plan = TrialPlan(trials=10, master_seed=0,
-                         protocol=ProtocolInstance(family="ring", k=1, mu=1.0),
-                         noise=IDEAL_NOISE, input_x=u, input_y=v)
-        with pytest.raises(ValueError):
-            simulate_ed(plan)
+        # encode_ed rejects a variant it does not know after the ed_ prefix
+        for family, message in (("ring", "not an ED family"),
+                                ("ed_quaternion", "unknown variant")):
+            plan = TrialPlan(trials=10, master_seed=0,
+                             protocol=ProtocolInstance(family=family, k=1,
+                                                       mu=1.0),
+                             noise=IDEAL_NOISE, input_x=u, input_y=v)
+            with pytest.raises(ValueError, match=message):
+                simulate_ed(plan)
 
     @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.99])
     def test_rejects_reduced_visibility(self, visibility):

@@ -1,6 +1,7 @@
 """Tests for the truncated Fock-space verification layer against the
 closed-form module."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from qfp import checks
 from qfp.analysis import interp_nd_prob
+from qfp.constellations import encode
 from qfp.oracle import (beamsplitter_click_probs, coherent_fock,
                         cswap_antisym_prob, interp_measurement_oracle,
                         optimal_projector_error, qubit_from_coherent,
@@ -22,12 +24,45 @@ class TestCoherentStates:
 
     def test_normalized(self):
         state = coherent_fock(1.2 + 0.3j)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0,
-                                                                 abs=1e-9)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError):
             coherent_fock(5.0, cutoff=10)
+
+
+def _product_state(amplitudes):
+    return functools.reduce(np.kron, [coherent_fock(beta, 60)
+                                      for beta in amplitudes])
+
+
+class TestProductStates:
+    """A product of coherent states is the Kronecker product of its modes'
+    Fock vectors, and its overlap is the Gram entry
+    prod_j exp(-|a_j|^2/2 - |b_j|^2/2 + conj(a_j) b_j), phase included."""
+
+    @pytest.mark.parametrize("family,k", [("ring", 1), ("ring", 2),
+                                          ("ring", 3), ("lattice", 2),
+                                          ("lattice", 3)])
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_overlap_is_gram_entry(self, family, k, modes):
+        rng = np.random.default_rng(100 * k + modes)
+        for _ in range(4):
+            x, y = rng.integers(0, 2, size=(2, modes * k), dtype=np.uint8)
+            a = encode(x, family, k, 1.2 * modes)
+            b = encode(y, family, k, 1.2 * modes)
+            assert max(np.abs(a).max(), np.abs(b).max()) <= 1.5
+            got = np.vdot(_product_state(a), _product_state(b))
+            want = np.prod(np.exp(-0.5 * np.abs(a) ** 2 - 0.5 * np.abs(b) ** 2
+                                  + a.conj() * b))
+            assert abs(got - want) <= 1e-12
+
+    def test_cutoff_mismatch(self):
+        a, b = coherent_fock(0.5, 30), coherent_fock(0.5, 40)
+        with pytest.raises(ValueError):
+            np.vdot(a, b)
+        with pytest.raises(ValueError, match="cutoff mismatch"):
+            beamsplitter_click_probs(a, b)
 
 
 class TestBeamsplitter:
