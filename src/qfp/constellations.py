@@ -43,12 +43,6 @@ class ProtocolInstance:
     alpha: complex = 0.0
 
 
-def _block_labels(codeword: np.ndarray, k: int) -> np.ndarray:
-    """Integer label of each k-bit block, first bit most significant."""
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return _signal_blocks(codeword, k).astype(np.int64) @ weights
-
-
 def ring_constellation(k: int, beta: float) -> np.ndarray:
     """The point beta e^(2 pi i j / 2^k) at each ring position j, position 0
     on the positive real axis."""
@@ -95,11 +89,16 @@ def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
     if family not in _MODULATIONS:
         raise ValueError(f"unsupported family {family!r}; the encoder "
                          f"knows {sorted(_MODULATIONS)}")
-    codeword = np.asarray(codeword, dtype=np.uint8)
+    codeword = np.asarray(codeword)
+    stray = codeword[(codeword != 0) & (codeword != 1)]
+    if stray.size:
+        raise ValueError(f"codeword bits must be 0 or 1, got {stray[0]}")
     gray, constellation = _MODULATIONS[family]
     by_label = np.empty(1 << k, dtype=complex)
     by_label[gray(k)] = constellation(k, _signal_amplitude(codeword.size, k, mu))
-    return by_label[_block_labels(codeword, k)]
+    # each signal's label, first bit most significant
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    return by_label[_signal_blocks(codeword, k).astype(np.int64) @ weights]
 
 
 def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:

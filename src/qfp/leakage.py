@@ -107,11 +107,16 @@ def qil_interpolation(k: int, m: int, p_k: float | None = None,
     return LeakageBound(bits=bits, method="schur_horn", subterms=subterms)
 
 
+_RING_K_MAX = 12  # lambda_ring's 2^k x 2^k DFT takes 592 MiB to build at 12
+
+
 @functools.cache
 def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-only arrays of lambda_ring: the 2^k-th roots of unity and the
     2^k x 2^k phase matrix of the inverse DFT, read-only and cached for the
     process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12)."""
+    if k > _RING_K_MAX:
+        raise ValueError(f"the ring needs k <= {_RING_K_MAX}, got k = {k}")
     two_k = 1 << k
     j = np.arange(two_k)
     omega_j = ring_constellation(k, 1.0)
@@ -337,8 +342,12 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
                            measurement: str = "beamsplitter") -> DeltaOptimum:
     """Golden-section minimization of the family's leakage bound over the
     relative minimum distance delta."""
-    if getattr(FAMILIES.get(family), "bound", None) is None:
+    fam = FAMILIES.get(family)
+    if getattr(fam, "bound", None) is None:
         raise ValueError(f"unsupported family {family!r}")
+    if not fam.k_min <= k <= fam.k_max:
+        raise ValueError(f"the {family} family needs {fam.k_min} <= k <= "
+                         f"{fam.k_max}, got k = {k}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
@@ -425,14 +434,14 @@ class Family:
     bound: Callable[..., LeakageBound] | None = None  # coherent: (n, k, m, mu)
 
 
-# ring k <= 12: lambda_ring's 2^k x 2^k DFT takes 592 MiB to build at 12
 FAMILIES = {
     "interpolation": Family(1, None, False, _interpolation_report),
     "lattice": Family(2, MAX_GRAY_BITS, True,
                       functools.partial(_coherent_report, "lattice"),
                       lambda n, k, m, mu: fannes_audenaert_bound(
                           n, m / k, *lattice_mu_range(k, int(round(m)), mu))),
-    "ring": Family(1, 12, True, functools.partial(_coherent_report, "ring"),
+    "ring": Family(1, _RING_K_MAX, True,
+                   functools.partial(_coherent_report, "ring"),
                    lambda n, k, m, mu: qil_ring(
                        k, m, _signal_amplitude(m, k, mu))),
 }

@@ -1,12 +1,11 @@
 """Stochastic simulation of protocol runs under the noise model.
 
-Trials run in blocks.  Block b draws all of its trials' randomness as one
-array from its own counter-based stream, Philox keyed by the master seed and
-advanced to block b (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).  A block holds ``block_rows(width)`` trials, fixed by a
-constant element budget and the number of draws per trial, so results are a
-pure function of the plan and are identical however the blocks are split
-across workers.
+Each run draws from one stream, Philox keyed by the master seed (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Trials run in
+blocks of ``block_rows(width)`` that only bound memory: numpy consumes the
+stream element by element in C order, so the blocks draw the numbers one
+whole-run array would, and results are a pure function of the plan whatever
+the block size.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ __all__ = [
     "EqualityResult",
     "EdResult",
     "block_rows",
-    "derive_block_rng",
     "signal_click_probs",
     "simulate_equality",
     "simulate_ed",
     "wilson_interval",
 ]
 
-_BLOCK_STRIDE = 1 << 40  # Philox counter steps reserved per block of trials
 _BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
 
 
@@ -71,19 +68,11 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // width)
 
 
-def derive_block_rng(master_seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based stream: Philox keyed by the master seed, advanced to a
-    per-block offset.  Depends only on (master_seed, block_index)."""
-    bg = np.random.Philox(key=master_seed)
-    bg.advance(block_index * _BLOCK_STRIDE)
-    return np.random.Generator(bg)
-
-
 def _blocks(trials: int, rows: int):
-    """(block index, first trial, trial count) of each block of ``rows``
-    trials; only the last block may be short."""
-    for b, start in enumerate(range(0, trials, rows)):
-        yield b, start, min(rows, trials - start)
+    """(first trial, trial count) of each block of ``rows`` trials; only the
+    last block may be short."""
+    for start in range(0, trials, rows):
+        yield start, min(rows, trials - start)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -126,9 +115,9 @@ def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
     # group signals by click probability; per trial only the group totals
     # are needed
     uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
+    rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
     errors = 0
-    for b, _, rows in _blocks(plan.trials, block_rows(uniq.size)):
-        rng = derive_block_rng(plan.master_seed, b)
+    for _, rows in _blocks(plan.trials, block_rows(uniq.size)):
         clicks = rng.binomial(counts, uniq, size=(rows, uniq.size)).sum(axis=1)
         errors += int(np.count_nonzero((clicks >= d_th) == inputs_equal))
     return EqualityResult(
@@ -163,9 +152,9 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     # row 0 is the dark port, row 1 the light port
     lam = 0.5 * np.abs([amps_u - amps_v, amps_u + amps_v]) ** 2 * plan.noise.eta
     p_click = _with_dark_counts(-np.expm1(-lam), plan.noise.p_dark)
+    rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
     estimates = np.empty(plan.trials)
-    for b, start, rows in _blocks(plan.trials, block_rows(p_click.size)):
-        rng = derive_block_rng(plan.master_seed, b)
+    for start, rows in _blocks(plan.trials, block_rows(p_click.size)):
         clicks = rng.random((rows, *p_click.shape)) < p_click
         estimates[start:start + rows] = ed_estimate(
             clicks[:, 0], clicks[:, 1], protocol.alpha)

@@ -257,7 +257,7 @@ class TestSimulate:
         assert _run(args).output == _run(args).output
 
     def test_golden_values(self):
-        # pins the block stream contract: 184 of 20000 trials err
+        # one block of the run's stream: 184 of 20000 trials err
         result = _run(["simulate", "--k", "2", "--m", "1000", "--delta",
                        "0.25", "--trials", "20000", "--seed", "7"])
         report = json.loads(result.output)
@@ -265,6 +265,15 @@ class TestSimulate:
         assert report["empirical_error"] == 0.0092
         assert report["predicted_error"] == pytest.approx(0.010214337653619098,
                                                           rel=1e-12)
+
+    def test_golden_values_past_first_block(self):
+        # 100000 trials span two blocks, so this pins the stream past block
+        # 0: 985 of 100000 trials err
+        result = _run(["simulate", "--k", "2", "--m", "1000", "--delta",
+                       "0.25", "--trials", "100000", "--seed", "7"])
+        report = json.loads(result.output)
+        assert report["d_th"] == 1
+        assert report["empirical_error"] == 0.00985
 
     def test_golden_values_short_final_block(self):
         # k = 3 does not divide m = 3001, and k * delta > 1.  The run exits 1:
@@ -386,24 +395,26 @@ class TestEdEstimate:
         assert err < 4.0 * report["std_error"] + 0.05
 
     def test_golden_values(self):
-        # pins the block stream contract for the default 64-wide real pair
+        # pins the run's one stream for the default 64-wide real pair, over
+        # 20 blocks of trials
         report = json.loads(_run(["ed-estimate", "--trials", "20000",
                                   "--seed", "1"]).output)
         assert report["true_squared_distance"] == pytest.approx(
             1.9629900575084616, rel=1e-12)
-        assert report["mean_estimate"] == pytest.approx(1.9783, rel=1e-12)
-        assert report["std_error"] == pytest.approx(0.013781725301921195,
+        assert report["mean_estimate"] == pytest.approx(1.9853, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.013884121648188514,
                                                     rel=1e-12)
 
     def test_golden_values_complex_odd_dimension(self):
-        # 65 components pack into 33 signals, the last one half empty
+        # 65 components pack into 33 signals, the last one half empty; the
+        # run's one stream over 3 blocks of trials
         report = json.loads(_run(["ed-estimate", "--variant", "complex",
                                   "--dimension", "65", "--trials", "5000",
                                   "--seed", "2"]).output)
         assert report["true_squared_distance"] == pytest.approx(
             1.851391111563582, rel=1e-12)
-        assert report["mean_estimate"] == pytest.approx(1.8792, rel=1e-12)
-        assert report["std_error"] == pytest.approx(0.0275817625021416,
+        assert report["mean_estimate"] == pytest.approx(1.812, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.0274539968745696,
                                                     rel=1e-12)
 
 

@@ -45,6 +45,16 @@ def test_encoder_reads_the_family_arrays(family, k):
             assert lo * (1 - 1e-12) <= total <= hi * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("family,codeword,value", [
+    ("ring", [0, 2], 2), ("ring", [2, 0], 2), ("lattice", [0, 2, 0, 0], 2),
+    ("ring", [-1, 0], -1), ("ring", [256, 0], 256), ("ring", [0, 0.5], 0.5)])
+def test_encode_rejects_non_binary_entries(family, codeword, value):
+    # an entry is a bit, not a weight: 2 must not read as label 2, and -1
+    # or 256 must not wrap to a bit in a uint8 cast
+    with pytest.raises(ValueError, match=f"0 or 1, got {value}$"):
+        encode(np.array(codeword), family, 2, 1.0)
+
+
 class TestRingConstellation:
     def test_uniform_modulus(self):
         points = ring_constellation(3, 1.7)

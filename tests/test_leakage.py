@@ -2,6 +2,9 @@
 
 import csv
 import math
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -331,6 +334,37 @@ class TestDeltaOptimization:
             optimize_delta_for_qil("torus", 2, 1e3, 0.01)
         with pytest.raises(ValueError):  # no coherent-state bound
             optimize_delta_for_qil("interpolation", 2, 1e3, 0.01)
+
+    def test_ring_k_cap_enforced_below_the_cli(self):
+        # k = 13's DFT phase matrix alone is 1 GiB; under a 2 GiB address
+        # space a regression dies with MemoryError instead of taking the host
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from qfp import leakage
+            k = leakage.FAMILIES["ring"].k_max + 1
+            for call in (lambda: leakage.lambda_ring(k, 0.1),
+                         lambda: leakage.qil_ring(k, 1000.0, 0.1),
+                         lambda: leakage.optimize_delta_for_qil(
+                             "ring", k, 1e3, 0.01)):
+                try:
+                    call()
+                except ValueError as exc:
+                    print(exc)
+            """)
+        src = Path(leakage.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "the ring needs k <= 12, got k = 13",
+            "the ring needs k <= 12, got k = 13",
+            "the ring family needs 1 <= k <= 12, got k = 13"]
+
+    def test_lattice_k_range_checked_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(leakage, "_coherent_family_qil", None)
+        for k in (1, leakage.FAMILIES["lattice"].k_max + 1):
+            with pytest.raises(ValueError, match="lattice family needs 2"):
+                optimize_delta_for_qil("lattice", k, 1e3, 0.01)
 
     @pytest.mark.parametrize("family,hook", [("ring", "qil_ring"),
                                              ("lattice", "lattice_mu_range")])

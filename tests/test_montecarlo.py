@@ -11,9 +11,8 @@ from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
     ring_worst_case_error, solve_amplitude, worst_case_error_with_threshold
 from qfp.codes import worst_case_pair
 from qfp.constellations import ProtocolInstance, encode, encode_ed
-from qfp.montecarlo import (TrialPlan, block_rows, derive_block_rng,
-                            signal_click_probs, simulate_ed,
-                            simulate_equality, wilson_interval)
+from qfp.montecarlo import (TrialPlan, block_rows, signal_click_probs,
+                            simulate_ed, simulate_equality, wilson_interval)
 
 
 def _model(k, m, delta, mu, noise):
@@ -36,67 +35,46 @@ def _ring_plan(k=1, m=500, delta=0.25, mu=None, trials=2000, seed=0,
     return plan, _model(k, m, delta, mu, noise).d_th
 
 
-class TestRngDerivation:
-    def test_reproducible(self):
-        a = derive_block_rng(123, 9).random(100)
-        b = derive_block_rng(123, 9).random(100)
-        assert np.array_equal(a, b)
-
-    def test_distinct_indices_differ(self):
-        a = derive_block_rng(123, 9).random(100)
-        b = derive_block_rng(123, 10).random(100)
-        assert not np.array_equal(a, b)
-
-    def test_stream_independence_smoke(self):
-        # 3 sigma of a sample correlation over 1e4 draws is 0.03
-        for idx in range(10):
-            a = derive_block_rng(0, idx).random(10**4)
-            b = derive_block_rng(0, idx + 1).random(10**4)
-            assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
-
-
 class TestDeterminism:
     def test_identical_plans_identical_results(self):
         r1 = simulate_equality(*_ring_plan(seed=7))
         r2 = simulate_equality(*_ring_plan(seed=7))
         assert r1 == r2
 
-    def test_chunked_equals_serial(self):
-        # worker-style chunking at a block boundary, each worker drawing its
-        # blocks from their own streams, must reproduce the serial error
-        # count exactly; three blocks, the last one short
-        probs = signal_click_probs(_ring_plan(trials=1, seed=5)[0])
-        uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
-        rows = block_rows(uniq.size)
-        plan, d_th = _ring_plan(trials=2 * rows + 123, seed=5)
-        serial = simulate_equality(plan, d_th)
-        errors = 0
-        for chunk in (range(0, 1), range(1, 3)):
-            for b in chunk:
-                n = min(rows, plan.trials - b * rows)
-                rng = derive_block_rng(plan.master_seed, b)
-                clicks = rng.binomial(counts, uniq, size=(n, uniq.size))
-                errors += int(np.sum(clicks.sum(axis=1) < serial.d_th))
-        assert errors / plan.trials == serial.empirical_error
+    def test_results_independent_of_block_size(self, monkeypatch):
+        # blocks only bound memory: both samplers draw from one stream, so
+        # cutting a run into more blocks (the last one short) moves nothing
+        plan, d_th = _ring_plan(k=2, m=600, mu=5.0, trials=50000, seed=9)
+        ed_plan = _ed_plan(dim=64, trials=5000, seed=9)
+        results = []
+        for elements in (1 << 17, 1 << 11, 999):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+            results.append((simulate_equality(plan, d_th),
+                            simulate_ed(ed_plan)))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
-    def test_one_stream_per_block(self, monkeypatch):
-        # a return to per-trial streams would construct 1e4 generators
+    def test_one_generator_per_run(self, monkeypatch):
+        # each sampler call builds one bit generator and one Generator,
+        # however many blocks it runs (the ED run below has 10)
         made = []
+        philox, generator = np.random.Philox, np.random.Generator
 
-        def counting(seed, block):
-            made.append(block)
-            return derive_block_rng(seed, block)
+        def counting(cls):
+            def construct(*args, **kwargs):
+                made.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return construct
 
-        monkeypatch.setattr(montecarlo, "derive_block_rng", counting)
+        monkeypatch.setattr(np.random, "Philox", counting(philox))
+        monkeypatch.setattr(np.random, "Generator", counting(generator))
         trials = 10**4
-        plan, d_th = _ring_plan(k=3, m=300, trials=trials)
-        groups = np.unique(np.round(signal_click_probs(plan), 15)).size
-        simulate_equality(plan, d_th)
-        assert made == list(range(math.ceil(trials / block_rows(groups))))
+        simulate_equality(*_ring_plan(k=3, m=300, trials=trials))
+        assert made == ["Philox", "Generator"]
         made.clear()
         simulate_ed(_ed_plan(dim=64, trials=trials))
-        assert made == list(range(math.ceil(trials / block_rows(2 * 64))))
-        assert len(made) == 10
+        assert math.ceil(trials / block_rows(2 * 64)) == 10
+        assert made == ["Philox", "Generator"]
 
 
 class TestOneSidedness:
@@ -257,8 +235,7 @@ class TestBlockBudget:
                 shapes.append(shape)
                 return np.ones(shape)
 
-        monkeypatch.setattr(montecarlo, "derive_block_rng",
-                            lambda seed, block: Spy())
+        monkeypatch.setattr(np.random, "Generator", lambda bg: Spy())
         simulate_ed(_ed_plan(dim=s, trials=5000))
         rows = block_rows(2 * s)
         assert shapes[0] == (min(rows, 5000), 2, s)
