@@ -365,6 +365,8 @@ def ed_estimate_cmd(dimension, alpha2, trials, seed, variant, out) -> None:
         "true_squared_distance": float(np.sum((u - v) ** 2)),
         "mean_estimate": res.mean_estimate,
         "std_error": res.std_error,
+        "predicted_mean": res.predicted_mean,
+        "predicted_std_error": res.predicted_std_error,
     }
     _emit(json.dumps(report, indent=2) + "\n", out)
 

@@ -115,8 +115,6 @@ def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-only arrays of lambda_ring: the 2^k-th roots of unity and the
     2^k x 2^k phase matrix of the inverse DFT, read-only and cached for the
     process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12)."""
-    if k > _RING_K_MAX:
-        raise ValueError(f"the ring needs k <= {_RING_K_MAX}, got k = {k}")
     two_k = 1 << k
     j = np.arange(two_k)
     omega_j = ring_constellation(k, 1.0)
@@ -138,6 +136,8 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     phase matrix depend on k alone, so they are built once per k; each call
     does at most one matrix-vector product.
     """
+    if k > _RING_K_MAX:
+        raise ValueError(f"the ring needs k <= {_RING_K_MAX}, got k = {k}")
     b2 = abs(beta_k) ** 2
     two_k = 1 << k
     if b2 == 0.0:  # the vacuum, exactly: the DFT would leave round-off

@@ -5,7 +5,9 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Trials run in
 blocks of ``block_rows(width)`` that only bound memory: numpy consumes the
 stream element by element in C order, so the blocks draw the numbers one
 whole-run array would, and results are a pure function of the plan whatever
-the block size.
+the block size.  A Euclidean-distance trial is one uniform: its estimator
+reads only the click difference D = N_light - N_dark, whose exact law is
+built once per plan and sampled by inversion.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoiseModel, _with_dark_counts, ed_estimate, no_click_prob
+from .analysis import (NoiseModel, _first_true, _with_dark_counts, ed_estimate,
+                       no_click_prob)
 from .constellations import ProtocolInstance, encode, encode_ed
+from .leakage import _log_poisson_tail_bound
 
 __all__ = [
     "TrialPlan",
@@ -30,6 +34,9 @@ __all__ = [
 ]
 
 _BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
+# click-total mass a port's pmf may drop, far below the 2^-53 spacing of the
+# uniforms that sample it
+_TAIL_MASS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,10 @@ class EdResult:
     mean_estimate: float
     std_error: float
     runs: int
+    # the estimator's mean and standard error under the exact law the
+    # trials are drawn from
+    predicted_mean: float | None = None
+    predicted_std_error: float | None = None
 
 
 def block_rows(width: int) -> int:
@@ -127,6 +138,47 @@ def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
     )
 
 
+def _click_total_pmf(p: np.ndarray) -> np.ndarray:
+    """P(N = t), t = 0, 1, ..., of the clicks N of independent modes that
+    click with probabilities p: the Poisson-binomial law (Hoeffding, Ann.
+    Math. Stat. 27, 1956).
+
+    The pmf stops at the first t past the mean whose Chernoff bound
+    e^-mu (e mu / t)^t on P(N >= t) is below ``_TAIL_MASS``; that bound
+    holds for any sum of Bernoulli trials of mean mu.  Modes merge pairwise,
+    level by level, each merge one convolution of two columns cut at that
+    length, so every term is a product of probabilities (nothing cancels)
+    and the loops run over counts, never over modes.  The cut costs the
+    kept entries nothing: a convolution's first entries read only the
+    first entries of its factors.
+    """
+    mu = float(p.sum())
+    size = _first_true(lambda t: t > mu and _log_poisson_tail_bound(
+        mu, t - mu) < math.log(_TAIL_MASS), cap=p.size + 1)
+    cols = np.stack([1.0 - p, p])  # entry (t, j): P(mode j clicks t times)
+    while cols.shape[1] > 1:
+        width, modes = cols.shape
+        half = modes // 2
+        a, b = cols[:, :half], cols[:, half:2 * half]
+        merged = np.zeros((min(2 * width - 1, size), modes - half))
+        for t in range(min(width, size)):
+            n = min(width, merged.shape[0] - t)
+            merged[t:t + n, :half] += a[t] * b[:n]
+        if modes % 2:  # the odd mode out passes to the next level as it is
+            merged[:width, half] = cols[:, -1]
+        cols = merged
+    return cols[:size, 0]
+
+
+def _difference_law(p_click: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values d and probabilities of D = N_light - N_dark, for the
+    per-mode click probabilities of the dark port (row 0) and the light
+    port (row 1): one convolution of the two ports' click-total laws."""
+    dark, light = (_click_total_pmf(p) for p in p_click)
+    return (np.arange(dark.size + light.size - 1) - (dark.size - 1),
+            np.convolve(light, dark[::-1]))
+
+
 def simulate_ed(plan: TrialPlan) -> EdResult:
     """Monte Carlo distance-estimator runs for the Euclidean-distance family.
 
@@ -134,8 +186,12 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     threshold detectors saturates at one click; clicks are used as count
     proxies per the weak-amplitude analysis).  A mode of mean lam clicks
     with probability 1 - e^-lam (1 - p_dark): a photon arrives or a dark
-    count fires.  Only click totals enter the estimator, so each click is
-    one uniform compared with that probability, for both ports at once.
+    count fires.  The estimator reads only D = N_light - N_dark, so each
+    trial is one uniform u mapped to the least d with F(d) > u, F the CDF of
+    D's exact law (``_difference_law``); a u above F's last entry, which
+    misses at most the dropped tail mass, takes the largest d kept.  The
+    result also reports the estimator's mean and standard error predicted
+    from that law.
     """
     protocol = plan.protocol
     if not protocol.family.startswith("ed_"):
@@ -152,14 +208,23 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     # row 0 is the dark port, row 1 the light port
     lam = 0.5 * np.abs([amps_u - amps_v, amps_u + amps_v]) ** 2 * plan.noise.eta
     p_click = _with_dark_counts(-np.expm1(-lam), plan.noise.p_dark)
+    d, pmf = _difference_law(p_click)
+    cdf = np.cumsum(pmf)
     rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
     estimates = np.empty(plan.trials)
-    for start, rows in _blocks(plan.trials, block_rows(p_click.size)):
-        clicks = rng.random((rows, *p_click.shape)) < p_click
+    for start, rows in _blocks(plan.trials, block_rows(1)):
+        pick = np.searchsorted(cdf, rng.random(rows), side="right")
+        totals = d[np.minimum(pick, d.size - 1), None]
         estimates[start:start + rows] = ed_estimate(
-            clicks[:, 0], clicks[:, 1], protocol.alpha)
+            np.zeros_like(totals), totals, protocol.alpha)
+    mean_d = pmf @ d
+    alpha2 = abs(protocol.alpha) ** 2
     return EdResult(
         mean_estimate=float(estimates.mean()),
         std_error=float(estimates.std(ddof=1) / math.sqrt(plan.trials)),
         runs=plan.trials,
+        predicted_mean=float(ed_estimate(np.zeros(1), np.array([mean_d]),
+                                         protocol.alpha)),
+        predicted_std_error=float(math.sqrt(pmf @ (d - mean_d) ** 2)
+                                  / (alpha2 * math.sqrt(plan.trials))),
     )

@@ -395,27 +395,35 @@ class TestEdEstimate:
         assert err < 4.0 * report["std_error"] + 0.05
 
     def test_golden_values(self):
-        # pins the run's one stream for the default 64-wide real pair, over
-        # 20 blocks of trials
+        # pins the run's one stream, one uniform per trial, for the default
+        # 64-wide real pair, and the moments of the law it samples
         report = json.loads(_run(["ed-estimate", "--trials", "20000",
                                   "--seed", "1"]).output)
         assert report["true_squared_distance"] == pytest.approx(
             1.9629900575084616, rel=1e-12)
-        assert report["mean_estimate"] == pytest.approx(1.9853, rel=1e-12)
-        assert report["std_error"] == pytest.approx(0.013884121648188514,
+        assert report["mean_estimate"] == pytest.approx(1.9484, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.013785368106027885,
                                                     rel=1e-12)
+        assert report["predicted_mean"] == pytest.approx(1.9677977543267293,
+                                                         rel=1e-12)
+        assert report["predicted_std_error"] == pytest.approx(
+            0.013877629846724826, rel=1e-12)
 
     def test_golden_values_complex_odd_dimension(self):
         # 65 components pack into 33 signals, the last one half empty; the
-        # run's one stream over 3 blocks of trials
+        # run's one stream and the moments of the law it samples
         report = json.loads(_run(["ed-estimate", "--variant", "complex",
                                   "--dimension", "65", "--trials", "5000",
                                   "--seed", "2"]).output)
         assert report["true_squared_distance"] == pytest.approx(
             1.851391111563582, rel=1e-12)
-        assert report["mean_estimate"] == pytest.approx(1.812, rel=1e-12)
-        assert report["std_error"] == pytest.approx(0.0274539968745696,
+        assert report["mean_estimate"] == pytest.approx(1.8436, rel=1e-12)
+        assert report["std_error"] == pytest.approx(0.027566279907843768,
                                                     rel=1e-12)
+        assert report["predicted_mean"] == pytest.approx(1.856811743520263,
+                                                         rel=1e-12)
+        assert report["predicted_std_error"] == pytest.approx(
+            0.02760529691967411, rel=1e-12)
 
 
 class TestBadInput:
@@ -585,6 +593,21 @@ def _fresh_stdout(code):
     return subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def test_import_loads_only_numpy_and_the_tail_kernels():
+    """Past the standard modules the package's sources import, ``import
+    qfp`` loads its own modules and nothing else: numpy, and scipy only for
+    the two Boost tail kernels."""
+    code = ("import sys\n"
+            "import collections.abc, dataclasses, functools, itertools, math\n"
+            "import numpy, scipy.special._ufuncs\n"
+            "before = set(sys.modules)\n"
+            "import qfp\n"
+            "print(*sorted(set(sys.modules) - before))")
+    assert _fresh_stdout(code).split() == [
+        "qfp", "qfp.analysis", "qfp.codes", "qfp.constellations",
+        "qfp.leakage", "qfp.montecarlo", "qfp.oracle"]
 
 
 def test_import_leaves_out_scipy_stats():

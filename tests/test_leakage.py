@@ -337,7 +337,8 @@ class TestDeltaOptimization:
 
     def test_ring_k_cap_enforced_below_the_cli(self):
         # k = 13's DFT phase matrix alone is 1 GiB; under a 2 GiB address
-        # space a regression dies with MemoryError instead of taking the host
+        # space a regression dies with MemoryError instead of taking the host;
+        # the vacuum, which needs no DFT, is capped too
         code = textwrap.dedent("""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -345,6 +346,8 @@ class TestDeltaOptimization:
             k = leakage.FAMILIES["ring"].k_max + 1
             for call in (lambda: leakage.lambda_ring(k, 0.1),
                          lambda: leakage.qil_ring(k, 1000.0, 0.1),
+                         lambda: leakage.lambda_ring(k, 0.0),
+                         lambda: leakage.qil_ring(k, 1000.0, 0.0),
                          lambda: leakage.optimize_delta_for_qil(
                              "ring", k, 1e3, 0.01)):
                 try:
@@ -356,6 +359,8 @@ class TestDeltaOptimization:
         out = subprocess.run([sys.executable, "-c", code], cwd=src,
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines() == [
+            "the ring needs k <= 12, got k = 13",
+            "the ring needs k <= 12, got k = 13",
             "the ring needs k <= 12, got k = 13",
             "the ring needs k <= 12, got k = 13",
             "the ring family needs 1 <= k <= 12, got k = 13"]

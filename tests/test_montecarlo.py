@@ -1,10 +1,17 @@
 """Tests for the stochastic simulation layer: determinism, one-sidedness,
 and agreement with the closed-form error model."""
 
+import itertools
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from qfp import montecarlo
 from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
@@ -56,7 +63,8 @@ class TestDeterminism:
 
     def test_one_generator_per_run(self, monkeypatch):
         # each sampler call builds one bit generator and one Generator,
-        # however many blocks it runs (the ED run below has 10)
+        # however many blocks it runs (the ED run below has 10 once its
+        # budget is cut to 1,000 uniforms)
         made = []
         philox, generator = np.random.Philox, np.random.Generator
 
@@ -72,8 +80,9 @@ class TestDeterminism:
         simulate_equality(*_ring_plan(k=3, m=300, trials=trials))
         assert made == ["Philox", "Generator"]
         made.clear()
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1000)
         simulate_ed(_ed_plan(dim=64, trials=trials))
-        assert math.ceil(trials / block_rows(2 * 64)) == 10
+        assert math.ceil(trials / block_rows(1)) == 10
         assert made == ["Philox", "Generator"]
 
 
@@ -217,29 +226,196 @@ class TestEdSimulation:
             simulate_ed(_ed_plan(dim=8, trials=1))
 
 
+def _ed_noisy_plan(variant, dim, alpha2, p_dark, trials=2, seed=0):
+    u, v = _unit_pair(dim, seed)
+    return TrialPlan(trials=trials, master_seed=seed,
+                     protocol=ProtocolInstance(family=f"ed_{variant}", s=dim,
+                                               alpha=math.sqrt(alpha2)),
+                     noise=NoiseModel(eta=1.0, p_dark=p_dark),
+                     input_x=u, input_y=v)
+
+
+def _ed_click_probs(plan):
+    """Per-mode click probabilities of the dark port (row 0) and the light
+    port (row 1), from the encoding and the click law written out."""
+    alpha, variant = plan.protocol.alpha, plan.protocol.family[3:]
+    a = encode_ed(plan.input_x, alpha, variant)
+    b = encode_ed(plan.input_y, alpha, variant)
+    lam = 0.5 * np.abs(np.array([a - b, a + b])) ** 2 * plan.noise.eta
+    return 1.0 - np.exp(-lam) * (1.0 - plan.noise.p_dark)
+
+
+def _enumerated_pmf(p):
+    """P(N = t) for t = 0..modes by summing over all 2^modes click
+    patterns."""
+    pmf = np.zeros(p.size + 1)
+    for pattern in itertools.product((0, 1), repeat=p.size):
+        clicks = np.array(pattern, dtype=bool)
+        pmf[clicks.sum()] += np.prod(np.where(clicks, p, 1.0 - p))
+    return pmf
+
+
+# real and complex packing (an odd dimension leaves the last mode half
+# empty), with and without dark counts; at most 10 modes per port
+_SMALL_ED_PLANS = [("real", 10, 2.0, 0.0), ("complex", 9, 2.0, 0.0),
+                   ("real", 7, 5.0, 0.05), ("complex", 19, 1.0, 0.02)]
+
+
+class TestEdLaw:
+    """The exact law of D = N_light - N_dark that simulate_ed samples."""
+
+    @pytest.mark.parametrize("variant,dim,alpha2,p_dark", _SMALL_ED_PLANS)
+    def test_matches_enumeration_of_click_patterns(self, variant, dim,
+                                                   alpha2, p_dark):
+        p_click = _ed_click_probs(_ed_noisy_plan(variant, dim, alpha2, p_dark))
+        assert p_click.shape[1] <= 10
+        dark, light = (_enumerated_pmf(p) for p in p_click)
+        for p, exact in zip(p_click, (dark, light)):
+            pmf = montecarlo._click_total_pmf(p)
+            assert np.max(np.abs(pmf - exact[:pmf.size])) <= 1e-14
+            assert exact[pmf.size:].sum() <= montecarlo._TAIL_MASS
+        # D's law by brute force: every pair of port totals
+        modes = p_click.shape[1]
+        joint = np.outer(dark, light)  # [n_dark, n_light]
+        diff = np.subtract.outer(np.arange(modes + 1), np.arange(modes + 1))
+        exact = np.bincount((-diff + modes).ravel(), weights=joint.ravel())
+        d, pmf = montecarlo._difference_law(p_click)
+        assert np.max(np.abs(pmf - exact[d + modes])) <= 1e-14
+
+    @pytest.mark.parametrize("n,q", [(128, 0.08), (1000, 0.01),
+                                     (10**6, 1e-5), (40, 0.05)])
+    def test_dropped_tail_within_bound(self, n, q):
+        # equal probabilities make N binomial; mpmath sums its tail term by
+        # term until a term is below 1e-60 (the ratio of terms is below 1/2
+        # there, so the rest is smaller still)
+        pmf = montecarlo._click_total_pmf(np.full(n, q))
+        assert pmf.size < n + 1  # the cut dropped something
+        with mpmath.workdps(50):
+            q = mpmath.mpf(q)
+            t = pmf.size
+            term = mpmath.binomial(n, t) * q ** t * (1 - q) ** (n - t)
+            dropped = mpmath.mpf(0)
+            while t <= n and term >= 1e-60:
+                dropped += term
+                term *= (n - t) * q / ((t + 1) * (1 - q))
+                t += 1
+        assert 0.0 < dropped <= montecarlo._TAIL_MASS
+
+    def test_no_light_no_clicks(self):
+        assert montecarlo._click_total_pmf(np.zeros(64)).tolist() == [1.0]
+
+    def test_sampled_difference_matches_its_law(self, monkeypatch):
+        # chi-square of the sampled D over the bins the law expects >= 5
+        # times each (the rest folded into the two end bins); a p-value
+        # below 1e-3 fails
+        plan = _ed_noisy_plan("complex", 128, 4.0, 1e-3, trials=10**5,
+                              seed=21)
+        drawn = []
+        real_estimate = montecarlo.ed_estimate
+
+        def spy(dark, light, alpha):
+            if np.ndim(light) == 2:
+                drawn.append(light[:, 0] - dark[:, 0])
+            return real_estimate(dark, light, alpha)
+
+        monkeypatch.setattr(montecarlo, "ed_estimate", spy)
+        simulate_ed(plan)
+        d, pmf = montecarlo._difference_law(_ed_click_probs(plan))
+        sample = np.concatenate(drawn)
+        assert sample.size == plan.trials
+        observed = np.bincount(sample - d[0], minlength=d.size)
+        expected = pmf * plan.trials
+        kept = np.flatnonzero(expected >= 5.0)
+        lo, hi = kept[0], kept[-1] + 1
+        assert kept.size == hi - lo  # one run of bins
+        obs, exp = observed[lo:hi].astype(float), expected[lo:hi].copy()
+        obs[0] += observed[:lo].sum()
+        exp[0] += expected[:lo].sum()
+        obs[-1] += observed[hi:].sum()
+        exp[-1] += expected[hi:].sum()
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        assert stats.chi2.sf(chi2, obs.size - 1) > 1e-3
+
+    @pytest.mark.parametrize("variant,dim,alpha2,p_dark",
+                             _SMALL_ED_PLANS + [("real", 128, 10.0, 0.0),
+                                                ("complex", 1001, 0.5, 1e-4)])
+    def test_predicted_moments_closed_form(self, variant, dim, alpha2,
+                                           p_dark):
+        # mean 2 - (sum p_light - sum p_dark) / |alpha|^2 and variance
+        # sum p (1 - p) over both ports, over |alpha|^4
+        plan = _ed_noisy_plan(variant, dim, alpha2, p_dark, trials=1000)
+        p_click = _ed_click_probs(plan)
+        res = simulate_ed(plan)
+        mean = 2.0 - (p_click[1].sum() - p_click[0].sum()) / alpha2
+        se = (math.sqrt(np.sum(p_click * (1.0 - p_click)))
+              / (alpha2 * math.sqrt(plan.trials)))
+        assert abs(res.predicted_mean - mean) <= 1e-12
+        assert res.predicted_std_error == pytest.approx(se, rel=1e-12)
+
+    def test_bright_run_within_three_sigma_of_prediction(self):
+        # at |alpha|^2 = 10 clicks saturate, so the estimator's mean sits
+        # ~19 standard errors from the true distance but on the prediction
+        plan = _ed_noisy_plan("real", 128, 10.0, 0.0, trials=10**5, seed=8)
+        res = simulate_ed(plan)
+        assert (abs(res.mean_estimate - res.predicted_mean)
+                < 3.0 * res.predicted_std_error)
+        true = float(np.sum((plan.input_x - plan.input_y) ** 2))
+        assert abs(res.mean_estimate - true) > 3.0 * res.std_error
+
+    def test_million_modes_under_an_address_space_cap(self):
+        # the law is built in O(s) memory: a run at s = 10^6 finishes under
+        # a 2 GiB address space, where an s x s array would not fit
+        code = textwrap.dedent("""
+            import math, resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            import numpy as np
+            from qfp.analysis import IDEAL_NOISE
+            from qfp.constellations import ProtocolInstance
+            from qfp.montecarlo import TrialPlan, simulate_ed
+            rng = np.random.default_rng(0)
+            u, v = (x / np.linalg.norm(x) for x in rng.normal(size=(2, 10**6)))
+            res = simulate_ed(TrialPlan(
+                trials=2, master_seed=0,
+                protocol=ProtocolInstance(family="ed_complex", s=10**6,
+                                          alpha=1.0),
+                noise=IDEAL_NOISE, input_x=u, input_y=v))
+            print(res.runs, math.isfinite(res.predicted_mean))
+            """)
+        src = Path(montecarlo.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.split() == ["2", "True"]
+
+
+def _uniform_requests(monkeypatch, plan):
+    """The sizes simulate_ed asks its generator for, in order."""
+    sizes = []
+
+    class Spy:
+        def random(self, size):
+            sizes.append(size)
+            return np.full(size, 0.5)
+
+    monkeypatch.setattr(np.random, "Generator", lambda bg: Spy())
+    simulate_ed(plan)
+    return sizes
+
+
 class TestBlockBudget:
     @pytest.mark.parametrize("s", [1, 128, 10**6])
-    def test_ed_block_within_budget(self, s):
-        # both ports draw together: 2s uniforms per trial; a trial wider than
-        # the budget runs alone in its block
-        rows = block_rows(2 * s)
-        assert rows * 2 * s <= montecarlo._BLOCK_ELEMENTS or rows == 1
+    def test_ed_block_within_budget(self, monkeypatch, s):
+        # one uniform per trial whatever s is: a block holds as many trials
+        # as the budget has elements, and only the last block is short
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 3)
+        assert _uniform_requests(monkeypatch,
+                                 _ed_plan(dim=s, trials=7)) == [3, 3, 1]
 
     @pytest.mark.parametrize("s", [1, 128])
     def test_ed_draws_one_block_array(self, monkeypatch, s):
-        # simulate_ed requests (block_rows(2s), 2, s) uniforms per block
-        shapes = []
-
-        class Spy:
-            def random(self, shape):
-                shapes.append(shape)
-                return np.ones(shape)
-
-        monkeypatch.setattr(np.random, "Generator", lambda bg: Spy())
-        simulate_ed(_ed_plan(dim=s, trials=5000))
-        rows = block_rows(2 * s)
-        assert shapes[0] == (min(rows, 5000), 2, s)
-        assert sum(shape[0] for shape in shapes) == 5000
+        # a run within the budget draws its `trials` uniforms as one array
+        assert _uniform_requests(monkeypatch,
+                                 _ed_plan(dim=s, trials=5000)) == [5000]
 
 
 def _scalar_no_click_prob(beta_a, beta_b, visibility):
