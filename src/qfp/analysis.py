@@ -34,6 +34,7 @@ __all__ = [
     "InfeasibleError",
     "IDEAL_NOISE",
     "PAPER_EXP_NOISE",
+    "click_probs",
     "no_click_prob",
     "interp_nd_prob",
     "interp_worst_case_error",
@@ -92,20 +93,28 @@ class ThresholdResult:
     log_worst_case_error: float
 
 
+def _dark_port_mean(beta_a, beta_b, noise: NoiseModel):
+    """Detected mean photon number at the dark port for launched |beta_a>,
+    |beta_b> on a balanced beamsplitter: eta (|a - b|^2 / 2 + (1 - V)
+    Re(a* b)), whose squared distance does not cancel for nearby points."""
+    return noise.eta * (0.5 * np.abs(beta_a - beta_b) ** 2 + (
+        1.0 - noise.visibility) * (np.conj(beta_a) * beta_b).real)
+
+
+def click_probs(beta_a, beta_b, noise: NoiseModel):
+    """Dark-port click probability 1 - e^-lam of each launched mode pair,
+    dark counts added (the pair (a, -b) gives the light port).  Amplitude
+    arrays broadcast, one probability per pair."""
+    return _with_dark_counts(-np.expm1(-_dark_port_mean(beta_a, beta_b, noise)),
+                             noise.p_dark)
+
+
 def no_click_prob(beta_a: complex | np.ndarray, beta_b: complex | np.ndarray,
                   visibility: float = 1.0) -> float | np.ndarray:
-    """Probability of no dark-port click when interfering |beta_a> with |beta_b>.
-
-    At unit visibility this is exp(-|beta_a - beta_b|^2 / 2), the squared-
-    distance law of the balanced beamsplitter; reduced visibility scales only
-    the interference term.  Amplitude arrays broadcast, one probability per
-    signal pair.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    mu_dark = 0.5 * (np.abs(beta_a) ** 2 + np.abs(beta_b) ** 2
-                     - 2.0 * visibility * (np.conj(beta_a) * beta_b).real)
-    return np.exp(-mu_dark)
+    """The no-click probability e^-lam of ``click_probs``'s dark port on
+    lossless detectors without dark counts."""
+    return np.exp(-_dark_port_mean(beta_a, beta_b,
+                                   NoiseModel(visibility=visibility)))
 
 
 def interp_nd_prob(d: float, k: int, p_k: float) -> float:

@@ -291,7 +291,7 @@ def simulate(k, m, delta, mu, trials, seed, out, noise, eta, p_dark,
     z = (res.empirical_error - predicted) / spread
     report = {
         "k": k, "m": m, "delta": delta, "mu": mu, "trials": trials,
-        "seed": seed, "d_th": res.d_th,
+        "seed": seed, "d_th": th.d_th,
         "empirical_error": res.empirical_error,
         "confidence_interval": list(res.confidence_interval),
         "predicted_error": predicted, "z_score": z,

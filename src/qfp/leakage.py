@@ -149,20 +149,26 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     return np.clip(vec, 0.0, None)
 
 
+_TAIL_MASS = 1e-18  # a count law's dropped mass: far below a uniform's 2^-53
+# 1/13, ..., 1/2: at |x| <= 0.05 the first term left out, x^14 / 14, is
+# below 2^-53 x^2 / 2
+_SERIES = tuple(1.0 / j for j in range(13, 1, -1))
+
+
+def _count_law_size(mu: float, cap: int | None = None) -> int:
+    """Entries kept of a count law of mean mu: up to the first t > mu whose
+    Chernoff bound e^-mu (e mu / t)^t on P(N >= t), valid for Poisson
+    counts and sums of Bernoulli trials, is below ``_TAIL_MASS``."""
+    return _first_true(lambda t: t > mu and _log_poisson_tail_bound(
+        mu, t - mu) < math.log(_TAIL_MASS), cap=cap)
+
+
 def _poisson_pmf(mu: float) -> np.ndarray:
-    """P(N = h) of a Poisson(mu) photon number for h = 0, 1, ..., built term
-    by term in log space (every term is positive, so nothing cancels) up to
-    the first h past the mean whose term is below 1e-18."""
-    terms = []
-    log_term = -mu  # log of e^{-mu} mu^h / h! at h = 0
-    h = 0
-    while True:
-        term = math.exp(log_term)
-        terms.append(term)
-        if mu == 0.0 or (h > mu and term < 1e-18):
-            return np.array(terms)
-        h += 1
-        log_term += math.log(mu) - math.log(h)
+    """P(N = h) of a Poisson(mu) photon number for h below
+    ``_count_law_size(mu)``, each term e^-mu prod_{i <= h} (mu / i) summed
+    in log space (every factor is positive, so nothing cancels)."""
+    log_ratios = np.log(mu / np.arange(1, _count_law_size(mu)))
+    return np.exp(-mu + np.concatenate(([0.0], np.cumsum(log_ratios))))
 
 
 def lambda_ring_series(k: int, beta_k: float) -> np.ndarray:
@@ -184,17 +190,24 @@ def qil_ring(k: int, m: float, beta_k: float) -> LeakageBound:
 def _log_poisson_tail_bound(mu: float, shift: float) -> float:
     """log of the Chernoff bound e^{-mu} (e mu / (mu + shift))^(mu + shift).
 
-    With s = mu + shift and x = shift / s that is s (x - log(s / mu)), and
-    mu / s = 1 - x, so near s = mu log1p(-x) keeps the two logs from
-    cancelling.  s / mu >= 2^-53 never underflows; it overflows only where
-    mu < 2^-1024 s, whose exponent, below -708 s, comes out -inf.  A
-    Chernoff exponent is <= 0, and round-off must not lift it above."""
+    With s = mu + shift and x = shift / s that is s (x + log1p(-x)) up to
+    |x| = 1/2 and s (x - log(s / mu)) past it.  x + log1p(-x) loses about
+    log2(2 / |x|) bits, so for |x| <= 0.05 it is the series
+    -sum_{j >= 2} x^j / j (Horner's rule on ``_SERIES``).  s / mu >= 2^-53
+    never underflows; it overflows only where mu < 2^-1024 s, whose
+    exponent, below -708 s, comes out -inf.  A Chernoff exponent is <= 0,
+    and round-off must not lift it above."""
     s = mu + shift
     if s <= 0.0:
         return 0.0
     if mu <= 0.0:
         return -math.inf
     x = shift / s
+    if abs(x) <= 0.05:
+        acc = 0.0
+        for c in _SERIES:
+            acc = acc * x + c
+        return -s * x * x * acc
     return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
                               else -math.log(s / mu))))
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (NoiseModel, _first_true, _with_dark_counts, ed_estimate,
-                       no_click_prob)
+from .analysis import NoiseModel, click_probs, ed_estimate
 from .constellations import ProtocolInstance, encode, encode_ed
-from .leakage import _log_poisson_tail_bound
+from .leakage import _TAIL_MASS, _count_law_size  # noqa: F401
 
 __all__ = [
     "TrialPlan",
@@ -34,9 +33,6 @@ __all__ = [
 ]
 
 _BLOCK_ELEMENTS = 1 << 17  # random draws per block of trials
-# click-total mass a port's pmf may drop, far below the 2^-53 spacing of the
-# uniforms that sample it
-_TAIL_MASS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,6 @@ class TrialPlan:
 class EqualityResult:
     empirical_error: float
     confidence_interval: tuple[float, float]
-    d_th: int
 
 
 @dataclass(frozen=True)
@@ -100,17 +95,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def signal_click_probs(plan: TrialPlan) -> np.ndarray:
-    """Per-signal dark-port click probability for the plan's input pair.
-
-    Amplitudes in the plan are launched values; the channel applies
-    sqrt(eta) before the beamsplitter, and dark counts add independently.
-    """
+    """Per-signal dark-port click probability for the plan's input pair."""
     p = plan.protocol
-    root_eta = math.sqrt(plan.noise.eta)
-    no_click = no_click_prob(encode(plan.input_x, p.family, p.k, p.mu) * root_eta,
-                             encode(plan.input_y, p.family, p.k, p.mu) * root_eta,
-                             plan.noise.visibility)
-    return _with_dark_counts(1.0 - no_click, plan.noise.p_dark)
+    return click_probs(encode(plan.input_x, p.family, p.k, p.mu),
+                       encode(plan.input_y, p.family, p.k, p.mu), plan.noise)
 
 
 def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
@@ -134,7 +122,6 @@ def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
     return EqualityResult(
         empirical_error=errors / plan.trials,
         confidence_interval=wilson_interval(errors, plan.trials),
-        d_th=d_th,
     )
 
 
@@ -143,18 +130,14 @@ def _click_total_pmf(p: np.ndarray) -> np.ndarray:
     click with probabilities p: the Poisson-binomial law (Hoeffding, Ann.
     Math. Stat. 27, 1956).
 
-    The pmf stops at the first t past the mean whose Chernoff bound
-    e^-mu (e mu / t)^t on P(N >= t) is below ``_TAIL_MASS``; that bound
-    holds for any sum of Bernoulli trials of mean mu.  Modes merge pairwise,
-    level by level, each merge one convolution of two columns cut at that
-    length, so every term is a product of probabilities (nothing cancels)
-    and the loops run over counts, never over modes.  The cut costs the
-    kept entries nothing: a convolution's first entries read only the
-    first entries of its factors.
+    The pmf keeps ``_count_law_size`` entries, so it drops at most
+    ``_TAIL_MASS``.  Modes merge pairwise, level by level, each merge one
+    convolution of two columns cut at that length, so every term is a
+    product of probabilities (nothing cancels) and the loops run over
+    counts, never over modes.  The cut costs the kept entries nothing: a
+    convolution's first entries read only the first entries of its factors.
     """
-    mu = float(p.sum())
-    size = _first_true(lambda t: t > mu and _log_poisson_tail_bound(
-        mu, t - mu) < math.log(_TAIL_MASS), cap=p.size + 1)
+    size = _count_law_size(float(p.sum()), cap=p.size + 1)
     cols = np.stack([1.0 - p, p])  # entry (t, j): P(mode j clicks t times)
     while cols.shape[1] > 1:
         width, modes = cols.shape
@@ -184,31 +167,25 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
 
     Photon counts at each output port are Poisson (coherent light on
     threshold detectors saturates at one click; clicks are used as count
-    proxies per the weak-amplitude analysis).  A mode of mean lam clicks
-    with probability 1 - e^-lam (1 - p_dark): a photon arrives or a dark
-    count fires.  The estimator reads only D = N_light - N_dark, so each
-    trial is one uniform u mapped to the least d with F(d) > u, F the CDF of
-    D's exact law (``_difference_law``); a u above F's last entry, which
-    misses at most the dropped tail mass, takes the largest d kept.  The
-    result also reports the estimator's mean and standard error predicted
-    from that law.
+    proxies per the weak-amplitude analysis); each mode pair clicks at each
+    port by ``analysis.click_probs``.  The estimator reads only D = N_light
+    - N_dark, so each trial is one uniform u mapped to the least d with
+    F(d) > u, F the CDF of D's exact law (``_difference_law``); a u above
+    F's last entry, which misses at most the dropped tail mass, takes the
+    largest d kept.  The result also reports the estimator's mean and
+    standard error predicted from that law.
     """
     protocol = plan.protocol
     if not protocol.family.startswith("ed_"):
         raise ValueError(f"not an ED family: {protocol.family!r}")
     variant = protocol.family.removeprefix("ed_")  # encode_ed checks it
-    if plan.noise.visibility != 1.0:
-        raise ValueError(f"the ED click model has no visibility term, got "
-                         f"visibility {plan.noise.visibility}")
     if plan.trials < 2:
         raise ValueError(f"simulate_ed needs >= 2 trials for the sample "
                          f"standard error, got {plan.trials}")
     amps_u = encode_ed(plan.input_x, protocol.alpha, variant)
     amps_v = encode_ed(plan.input_y, protocol.alpha, variant)
     # row 0 is the dark port, row 1 the light port
-    lam = 0.5 * np.abs([amps_u - amps_v, amps_u + amps_v]) ** 2 * plan.noise.eta
-    p_click = _with_dark_counts(-np.expm1(-lam), plan.noise.p_dark)
-    d, pmf = _difference_law(p_click)
+    d, pmf = _difference_law(click_probs(amps_u, [amps_v, -amps_v], plan.noise))
     cdf = np.cumsum(pmf)
     rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
     estimates = np.empty(plan.trials)

@@ -219,11 +219,12 @@ def test_criterion_10_monte_carlo_agreement():
     plan = TrialPlan(trials=2 * 10**4, master_seed=77,
                      protocol=ProtocolInstance(family="ring", k=k, mu=mu),
                      noise=noise, input_x=x, input_y=y)
-    res = simulate_equality(plan, worst_case_error_with_threshold(
-        k, m, mu * noise.eta, delta, noise).d_th)
+    d_th = worst_case_error_with_threshold(k, m, mu * noise.eta, delta,
+                                           noise).d_th
+    res = simulate_equality(plan, d_th)
     probs = signal_click_probs(plan)
     # binomial prediction for the different-input (false-negative) side
-    p_model = math.exp(log_binom_cdf(res.d_th, probs.size,
+    p_model = math.exp(log_binom_cdf(d_th, probs.size,
                                      float(probs.mean())))
     sigma = math.sqrt(max(p_model * (1.0 - p_model), 1e-300) / plan.trials)
     z = (res.empirical_error - p_model) / sigma

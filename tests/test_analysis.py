@@ -6,6 +6,7 @@ oracle of the root finder."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from scipy import optimize, stats
 
 from qfp import analysis, checks
 from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
-                          ThresholdResult, ed_estimate,
+                          ThresholdResult, click_probs, ed_estimate,
                           experimental_click_probs, gray_beats_qary,
                           interp_nd_prob, interp_worst_case_error,
                           log_binom_cdf, log_binom_sf, no_click_prob,
@@ -22,8 +23,9 @@ from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
                           ring_error_exponent, ring_worst_case_error,
                           solve_amplitude, solve_repetition,
                           worst_case_error_with_threshold)
-from qfp.codes import gv_binary_rate, gv_qary_rate
-from qfp.constellations import ring_constellation
+from qfp.codes import (_signal_blocks, gv_binary_rate, gv_qary_rate,
+                       worst_case_pair)
+from qfp.constellations import _signal_amplitude, encode, ring_constellation
 
 
 class TestNoClickProb:
@@ -38,6 +40,41 @@ class TestNoClickProb:
     def test_zero_visibility_ignores_phase(self):
         assert no_click_prob(1.0, 1.0, 0.0) == pytest.approx(
             no_click_prob(1.0, -1.0, 0.0), rel=1e-12)
+
+
+def _ring_points(codeword, k, mu):
+    """encode(codeword, "ring", k, mu) without its 2^k-entry tables: a
+    label's ring position is its inverse reflected Gray code."""
+    pos = _signal_blocks(codeword, k).astype(np.int64) @ (
+        1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    shift = 1
+    while shift < k:
+        pos ^= pos >> shift
+        shift <<= 1
+    return _signal_amplitude(codeword.size, k, mu) * np.exp(
+        2j * np.pi * pos / (1 << k))
+
+
+class TestClickLaw:
+    @pytest.mark.parametrize("k", [20, 24])
+    def test_nearby_ring_points_match_mpmath(self, k):
+        # the ideal ring's worst-case pair at delta = 1/(2k): its points sit
+        # 2 pi / 2^k apart, where |a|^2 + |b|^2 - 2 Re(a* b) cancels
+        m, delta = 1000, 1.0 / (2 * k)
+        mu = solve_amplitude(k, m, delta, 0.01)
+        x, y = worst_case_pair(m, delta, k, "even")
+        a, b = _ring_points(x, k, mu), _ring_points(y, k, mu)
+        if k == 20:
+            assert np.array_equal(a, encode(x, "ring", k, mu))
+        with mpmath.workdps(50):
+            no_click = [mpmath.exp(-abs(mpmath.mpc(p) - mpmath.mpc(q)) ** 2 / 2)
+                        for p, q in zip(a, b)]
+            product = mpmath.fprod(no_click)
+        clicks = click_probs(a, b, NoiseModel())
+        for got, exact in zip(clicks, no_click):
+            assert abs(got - (1 - exact)) <= 1e-12 * (1 - exact)
+        assert (abs(np.prod(no_click_prob(a, b)) - product)
+                <= 1e-12 * product)
 
 
 class TestInterpolation:

@@ -73,6 +73,9 @@ def _mp_entropy(vec):
         return -sum(p * mpmath.log(p, 2) for p in vec if p > 0)
 
 
+_PMF_MEANS = [1e-9, 1e-3, 0.5, 1.0, 7.0, 60.0, 1e3, 1e5]
+
+
 class TestLambdaVectors:
     def test_interpolation_shape_and_sum(self):
         lam = lambda_interpolation(3, 0.1)
@@ -101,6 +104,31 @@ class TestLambdaVectors:
 
     def test_poisson_pmf_of_the_vacuum(self):
         assert _poisson_pmf(0.0).tolist() == [1.0]
+
+    @pytest.mark.parametrize("mu", _PMF_MEANS)
+    def test_poisson_pmf_matches_the_term_loop(self, mu):
+        # the term-by-term loop _poisson_pmf replaced; both sum the log of
+        # entry h in h steps whose partial sums stay within mu + 50 (the
+        # last entry kept exceeds e^-50), so each is off by at most
+        # h 2^-53 (mu + 50) relative, subnormal entries aside
+        pmf = _poisson_pmf(mu)
+        log_term, loop = -mu, [math.exp(-mu)]
+        for h in range(1, pmf.size):
+            log_term += math.log(mu) - math.log(h)
+            loop.append(math.exp(log_term))
+        loop = np.array(loop)
+        normal = loop > 1e-300
+        tol = pmf.size * 2.0 ** -52 * (mu + 50.0)
+        assert np.all(np.abs(pmf - loop)[normal] <= tol * loop[normal])
+
+    @pytest.mark.parametrize("mu", _PMF_MEANS)
+    def test_poisson_pmf_drops_at_most_the_tail_mass(self, mu):
+        # P(N >= size) of Poisson(mu) is the regularized lower incomplete
+        # gamma function P(size, mu)
+        size = _poisson_pmf(mu).size
+        with mpmath.workdps(50):
+            dropped = mpmath.gammainc(size, 0, mu, regularized=True)
+        assert 0.0 < dropped <= leakage._TAIL_MASS
 
     def test_report_ring_filter_entropy_error_at_fig2(self):
         # no assertion: the DFT filter cancels at weak light, and how much
@@ -184,6 +212,18 @@ class TestPoissonTailBound:
                 scale = max(1.0, abs(shift), abs(want))
                 worst = max(worst, abs(got - want) / scale)
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("mu", [1e-2, 1.0, 1e3, 17137679.187295206])
+    def test_relative_error_at_small_shift(self, mu):
+        # x + log1p(-x), x = shift / s, is about -x^2 / 2 and would lose
+        # about log2(2 / |x|) bits; mu = 1.7e7 at x = 1.2e-3 is the upper
+        # window edge of `solve --family lattice --k 11 --n 10000000
+        # --delta 0.05 --noise paper-exp`
+        for x in np.logspace(-9.0, math.log10(0.5), 40):
+            for shift in (mu * x, -mu * x / (1.0 + x)):  # x and -x
+                want = _exact_log_tail(mu, shift)
+                got = _log_poisson_tail_bound(mu, shift)
+                assert abs(got - want) <= 1e-14 * abs(want), (mu, shift)
 
 
 def _window_dim(m_k, mu_min, mu_max, radius):

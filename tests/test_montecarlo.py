@@ -208,17 +208,18 @@ class TestEdSimulation:
             with pytest.raises(ValueError, match=message):
                 simulate_ed(plan)
 
-    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.99])
-    def test_rejects_reduced_visibility(self, visibility):
-        # the ED click model has no visibility term, so it would be ignored
-        u, v = _unit_pair()
-        plan = TrialPlan(trials=10, master_seed=0,
+    def test_zero_visibility_ports_click_alike(self):
+        # at V = 0 no interference survives: each port's mean is
+        # (|u|^2 + |v|^2) / 2, so D has mean 0 and the estimate is 2
+        u, v = _unit_pair(seed=6)
+        plan = TrialPlan(trials=20000, master_seed=6,
                          protocol=ProtocolInstance(family="ed_real", s=64,
                                                    alpha=math.sqrt(0.5)),
-                         noise=NoiseModel(visibility=visibility),
+                         noise=NoiseModel(visibility=0.0),
                          input_x=u, input_y=v)
-        with pytest.raises(ValueError, match="visibility"):
-            simulate_ed(plan)
+        res = simulate_ed(plan)
+        assert abs(res.predicted_mean - 2.0) <= 1e-12
+        assert abs(res.mean_estimate - 2.0) < 3.0 * res.std_error
 
     def test_rejects_single_trial(self):
         # one trial has no sample standard error (ddof=1 divides by zero)
@@ -419,14 +420,17 @@ class TestBlockBudget:
 
 
 def _scalar_no_click_prob(beta_a, beta_b, visibility):
-    """The scalar no-click law as written before it broadcast."""
+    """The scalar no-click law in its expanded form |a|^2 + |b|^2 -
+    2 V Re(a* b), as written before the one click law replaced it."""
     mu_dark = 0.5 * (abs(beta_a) ** 2 + abs(beta_b) ** 2
                      - 2.0 * visibility * (np.conj(beta_a) * beta_b).real)
     return math.exp(-mu_dark)
 
 
 class TestClickProbs:
-    """The broadcast no-click law against the per-signal scalar loop."""
+    """The one click law against the per-signal scalar loop it replaced:
+    at these design points the points are far apart, so the expanded form
+    does not cancel and the two agree to an ulp."""
 
     @pytest.mark.parametrize("family,k", [("ring", 1), ("ring", 3),
                                           ("lattice", 2), ("lattice", 4)])
@@ -441,7 +445,7 @@ class TestClickProbs:
         plan = TrialPlan(trials=1, master_seed=0,
                          protocol=ProtocolInstance(family=family, k=k, mu=mu),
                          noise=noise, input_x=x, input_y=y)
-        # the per-signal loop the broadcast call replaced
+        # the per-signal loop signal_click_probs replaced
         amps_x = encode(x, family, k, mu)
         amps_y = encode(y, family, k, mu)
         root_eta = math.sqrt(noise.eta)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfp import checks
-from qfp.analysis import interp_nd_prob
+from qfp.analysis import NoiseModel, click_probs, interp_nd_prob
 from qfp.constellations import encode
 from qfp.oracle import (beamsplitter_click_probs, coherent_fock,
                         cswap_antisym_prob, interp_measurement_oracle,
@@ -83,16 +83,20 @@ class TestBeamsplitter:
                                        abs=1e-10)
 
     def test_general_pair_squared_distance_law(self):
+        # loss before the beamsplitter scales each amplitude by sqrt(eta);
+        # the library law gives the dark port from (a, b), the light from
+        # (a, -b)
         rng = np.random.default_rng(5)
-        for _ in range(10):
+        for eta in [1.0] * 10 + [0.3] * 10:
+            noise = NoiseModel(eta=eta)
             a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            p_dark, p_light = beamsplitter_click_probs(coherent_fock(a, 50),
-                                                       coherent_fock(b, 50))
-            assert p_dark == pytest.approx(
-                1.0 - math.exp(-0.5 * abs(a - b) ** 2), abs=1e-9)
-            assert p_light == pytest.approx(
-                1.0 - math.exp(-0.5 * abs(a + b) ** 2), abs=1e-9)
+            p_dark, p_light = beamsplitter_click_probs(
+                coherent_fock(a * math.sqrt(eta), 50),
+                coherent_fock(b * math.sqrt(eta), 50))
+            assert p_dark == pytest.approx(click_probs(a, b, noise), abs=1e-9)
+            assert p_light == pytest.approx(click_probs(a, -b, noise),
+                                            abs=1e-9)
 
 
 class TestQubitReduction:
