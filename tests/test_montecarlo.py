@@ -208,18 +208,29 @@ class TestEdSimulation:
             with pytest.raises(ValueError, match=message):
                 simulate_ed(plan)
 
-    def test_zero_visibility_ports_click_alike(self):
-        # at V = 0 no interference survives: each port's mean is
-        # (|u|^2 + |v|^2) / 2, so D has mean 0 and the estimate is 2
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.99])
+    def test_reduced_visibility_follows_click_law(self, visibility):
+        # a lost fraction 1 - V of the interference moves (1 - V) Re(a* b)
+        # from the light port's mean to the dark port's; at V = 0 each
+        # port's mean is (|u|^2 + |v|^2) / 2, so D has mean 0 and the
+        # estimate is 2
         u, v = _unit_pair(seed=6)
+        alpha = math.sqrt(0.5)
         plan = TrialPlan(trials=20000, master_seed=6,
                          protocol=ProtocolInstance(family="ed_real", s=64,
-                                                   alpha=math.sqrt(0.5)),
-                         noise=NoiseModel(visibility=0.0),
+                                                   alpha=alpha),
+                         noise=NoiseModel(visibility=visibility),
                          input_x=u, input_y=v)
         res = simulate_ed(plan)
-        assert abs(res.predicted_mean - 2.0) <= 1e-12
-        assert abs(res.mean_estimate - 2.0) < 3.0 * res.std_error
+        a, b = encode_ed(u, alpha), encode_ed(v, alpha)
+        lost = (1.0 - visibility) * (np.conj(a) * b).real
+        p_dark = 1.0 - np.exp(-(0.5 * np.abs(a - b) ** 2 + lost))
+        p_light = 1.0 - np.exp(-(0.5 * np.abs(a + b) ** 2 - lost))
+        expected = 2.0 - (p_light - p_dark).sum() / alpha ** 2
+        assert abs(res.predicted_mean - expected) <= 1e-12
+        if visibility == 0.0:
+            assert abs(res.predicted_mean - 2.0) <= 1e-12
+        assert abs(res.mean_estimate - res.predicted_mean) < 3.0 * res.std_error
 
     def test_rejects_single_trial(self):
         # one trial has no sample standard error (ddof=1 divides by zero)
