@@ -114,11 +114,19 @@ _RING_K_MAX = 12  # lambda_ring's 2^k x 2^k DFT takes 592 MiB to build at 12
 def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-only arrays of lambda_ring: the 2^k-th roots of unity and the
     2^k x 2^k phase matrix of the inverse DFT, read-only and cached for the
-    process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12)."""
+    process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12).
+
+    The phase matrix is kept as a stack of row blocks of at most 32 rows (a
+    view, no copy).  OpenBLAS runs a 64 x 64 complex matrix-vector product
+    on two threads but a 32 x 64 one on one, and once woken its worker
+    spins between calls: at k = 6 that nearly doubled the CPU time of a
+    fig2 pass.  Each row is the same dot product either way, so the bits do not
+    change."""
     two_k = 1 << k
     j = np.arange(two_k)
     omega_j = ring_constellation(k, 1.0)
     phases = np.exp(-2j * np.pi * np.outer(j, j) / two_k)
+    phases = phases.reshape(-1, min(32, two_k), two_k)
     omega_j.flags.writeable = False
     phases.flags.writeable = False
     return omega_j, phases
@@ -134,7 +142,9 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     relative at k = 5, |beta|^2 = 1.7e-9 (``lambda_ring_series`` sums
     positive terms and does not cancel).  The roots of unity and the DFT
     phase matrix depend on k alone, so they are built once per k; each call
-    does at most one matrix-vector product.
+    does at most one stacked product of the phase matrix's row blocks with
+    one vector, which keeps k <= 6 off OpenBLAS's thread pool (see
+    ``_ring_tables``).
     """
     if k > _RING_K_MAX:
         raise ValueError(f"the ring needs k <= {_RING_K_MAX}, got k = {k}")
@@ -145,7 +155,7 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     omega_j, phases = _ring_tables(k)
     # sum_{h = l mod 2^k} e^{-b2} b2^h / h! = 2^-k sum_j w^{-lj} exp(b2 (w^j - 1))
     gen = np.exp(b2 * (omega_j - 1.0))
-    vec = (phases @ gen).real / two_k
+    vec = (phases @ gen).real.ravel() / two_k
     return np.clip(vec, 0.0, None)
 
 

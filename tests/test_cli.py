@@ -670,3 +670,24 @@ def test_commands_leave_out_scipy_linalg():
             "    assert CliRunner().invoke(main, args).exit_code == 0, args\n"
             + _LOADS_LINALG)
     assert _fresh_stdout(code) == "False"
+
+
+def test_fig2_keeps_openblas_workers_idle():
+    """The ring spectrum's DFT product stays on the calling thread: at k = 6
+    an unsplit 64 x 64 complex matrix-vector product woke an OpenBLAS
+    worker that then spun between calls, nearly doubling the CPU time of a
+    fig2 pass.  Non-main-thread CPU (process time less this thread's time)
+    over the command must be at most a fifth of the main thread's.  The
+    pause lets the thread pools' start-up spin end first.  On a 1-CPU host
+    OpenBLAS starts no worker, so the test passes there trivially."""
+    code = ("import time\n"
+            "from click.testing import CliRunner\n"
+            "from qfp.cli import main\n"
+            "time.sleep(0.5)\n"
+            "p0, t0 = time.process_time(), time.thread_time()\n"
+            "args = ['curves', '--preset', 'fig2', '--n-points', '3']\n"
+            "assert CliRunner().invoke(main, args).exit_code == 0\n"
+            "p1, t1 = time.process_time(), time.thread_time()\n"
+            "print(p1 - p0 - (t1 - t0), t1 - t0)")
+    others, main_thread = map(float, _fresh_stdout(code).split())
+    assert others <= 0.2 * main_thread
