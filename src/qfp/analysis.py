@@ -18,7 +18,6 @@ scipy, and importing it loads neither ``scipy.optimize`` nor, through it,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -271,9 +270,12 @@ def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     if not 0.0 <= p_E <= p_D <= 1.0:
         raise ValueError(f"need 0 <= p_E <= p_D <= 1, got p_E={p_E}, p_D={p_D}")
 
-    @functools.cache
+    memo = {}
+
     def tails(t: int) -> tuple[float, float]:
-        return log_binom_sf(t, m_k, p_E), log_binom_cdf(t, m_k, p_D)
+        if t not in memo:
+            memo[t] = log_binom_sf(t, m_k, p_E), log_binom_cdf(t, m_k, p_D)
+        return memo[t]
 
     def crosses(t: int) -> bool:
         false_pos, false_neg = tails(t)
@@ -418,10 +420,13 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
 
     log_eps = math.log(epsilon)
 
-    @functools.cache  # the bracket loops and _brentq revisit amplitudes
+    memo = {}  # the bracket loops and _brentq revisit amplitudes
+
     def excess(mu_det: float) -> float:
-        return worst_case_error_with_threshold(k, m, mu_det, delta,
-                                               noise).log_worst_case_error - log_eps
+        if mu_det not in memo:
+            memo[mu_det] = worst_case_error_with_threshold(
+                k, m, mu_det, delta, noise).log_worst_case_error - log_eps
+        return memo[mu_det]
 
     lo = mu_ideal
     while lo > 1e-12 and excess(lo) < 0.0:

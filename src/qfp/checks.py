@@ -83,7 +83,9 @@ def projector_violations(rng: np.random.Generator, ensembles: int,
         states = [s / np.linalg.norm(s) for s in raw]
         c = max(abs(np.vdot(a, b)) for i, a in enumerate(states)
                 for b in states[i + 1:])
-        worst = max(oracle.optimal_projector_error(states, states[i], states[j])
+        # oracle.optimal_projector_error, with the ensemble's span built once
+        span = oracle._equal_input_span(states)
+        worst = max(oracle._projector_error(span, states[i], states[j])
                     for i in range(count) for j in range(count) if i != j)
         lb = analysis.optimal_measurement_error_lb(c)
         violations += bool(worst < lb - 1e-12 or lb < c * c - 1e-12)

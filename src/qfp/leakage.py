@@ -62,6 +62,12 @@ def shannon_entropy(p: np.ndarray) -> float:
         raise ValueError("probability vector has negative entries")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probability vector sums to {p.sum()}, not 1")
+    return _entropy_bits(p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """``shannon_entropy`` without its checks, for a float vector built
+    valid (``lambda_ring``'s spectrum)."""
     p = p[p > 0.0]
     # 0.0 - sum, not -sum: a deterministic vector has entropy 0.0, not -0.0
     return float(0.0 - (p * np.log2(p)).sum())
@@ -112,9 +118,10 @@ _RING_K_MAX = 12  # lambda_ring's 2^k x 2^k DFT takes 592 MiB to build at 12
 
 @functools.cache
 def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k-only arrays of lambda_ring: the 2^k-th roots of unity and the
-    2^k x 2^k phase matrix of the inverse DFT, read-only and cached for the
-    process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at 12).
+    """The k-only arrays of lambda_ring: the 2^k-th roots of unity less one
+    and the 2^k x 2^k phase matrix of the inverse DFT, read-only and cached
+    for the process's lifetime (2^(2k+4) bytes: 64 KiB at k = 6, 256 MiB at
+    12).
 
     The phase matrix is kept as a stack of row blocks of at most 32 rows (a
     view, no copy).  OpenBLAS runs a 64 x 64 complex matrix-vector product
@@ -124,12 +131,12 @@ def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     change."""
     two_k = 1 << k
     j = np.arange(two_k)
-    omega_j = ring_constellation(k, 1.0)
+    omega_less_one = ring_constellation(k, 1.0) - 1.0
     phases = np.exp(-2j * np.pi * np.outer(j, j) / two_k)
     phases = phases.reshape(-1, min(32, two_k), two_k)
-    omega_j.flags.writeable = False
+    omega_less_one.flags.writeable = False
     phases.flags.writeable = False
-    return omega_j, phases
+    return omega_less_one, phases
 
 
 def lambda_ring(k: int, beta_k: float) -> np.ndarray:
@@ -152,17 +159,14 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     two_k = 1 << k
     if b2 == 0.0:  # the vacuum, exactly: the DFT would leave round-off
         return np.eye(1, two_k)[0]
-    omega_j, phases = _ring_tables(k)
+    omega_less_one, phases = _ring_tables(k)
     # sum_{h = l mod 2^k} e^{-b2} b2^h / h! = 2^-k sum_j w^{-lj} exp(b2 (w^j - 1))
-    gen = np.exp(b2 * (omega_j - 1.0))
+    gen = np.exp(b2 * omega_less_one)
     vec = (phases @ gen).real.ravel() / two_k
-    return np.clip(vec, 0.0, None)
+    return np.maximum(vec, 0.0)
 
 
 _TAIL_MASS = 1e-18  # a count law's dropped mass: far below a uniform's 2^-53
-# 1/13, ..., 1/2: at |x| <= 0.05 the first term left out, x^14 / 14, is
-# below 2^-53 x^2 / 2
-_SERIES = tuple(1.0 / j for j in range(13, 1, -1))
 
 
 def _count_law_size(mu: float, cap: int | None = None) -> int:
@@ -190,7 +194,7 @@ def lambda_ring_series(k: int, beta_k: float) -> np.ndarray:
 
 def qil_ring(k: int, m: float, beta_k: float) -> LeakageBound:
     """Majorization leakage bound (2m/k) H(Lambda) for the ring family."""
-    per_signal = shannon_entropy(lambda_ring(k, beta_k))
+    per_signal = _entropy_bits(lambda_ring(k, beta_k))
     bits = (2.0 * m / k) * per_signal
     return LeakageBound(bits=bits, method="schur_horn",
                         subterms={"per_signal_entropy": per_signal,
@@ -203,8 +207,9 @@ def _log_poisson_tail_bound(mu: float, shift: float) -> float:
     With s = mu + shift and x = shift / s that is s (x + log1p(-x)) up to
     |x| = 1/2 and s (x - log(s / mu)) past it.  x + log1p(-x) loses about
     log2(2 / |x|) bits, so for |x| <= 0.05 it is the series
-    -sum_{j >= 2} x^j / j (Horner's rule on ``_SERIES``).  s / mu >= 2^-53
-    never underflows; it overflows only where mu < 2^-1024 s, whose
+    -sum_{j >= 2} x^j / j, summed by Horner's rule from 1/13 (at |x| <= 0.05
+    the first term left out, x^14 / 14, is below 2^-53 x^2 / 2).  s / mu >=
+    2^-53 never underflows; it overflows only where mu < 2^-1024 s, whose
     exponent, below -708 s, comes out -inf.  A Chernoff exponent is <= 0,
     and round-off must not lift it above."""
     s = mu + shift
@@ -214,9 +219,9 @@ def _log_poisson_tail_bound(mu: float, shift: float) -> float:
         return -math.inf
     x = shift / s
     if abs(x) <= 0.05:
-        acc = 0.0
-        for c in _SERIES:
-            acc = acc * x + c
+        acc = ((((((((((x * (1 / 13) + 1 / 12) * x + 1 / 11) * x + 1 / 10)
+                      * x + 1 / 9) * x + 1 / 8) * x + 1 / 7) * x + 1 / 6)
+                   * x + 1 / 5) * x + 1 / 4) * x + 1 / 3) * x + 1 / 2
         return -s * x * x * acc
     return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
                               else -math.log(s / mu))))
@@ -245,34 +250,75 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
     Fannes-Audenaert continuity inequality, minimized exactly over the
     integer window radius r.
 
-    Radius r with tail budget eps' = tail(r) gives dim(r) + 2 n g + h(g),
-    g = sqrt(2 eps').  That budget is the best for r: every eps' in
-    [tail(r), tail(r - 1)) selects r, and 2 n g + h(g) increases in g for
-    every double g < 1 once n >= 27 (callers use n >= 1e3).  Radii with
-    tail(r) >= 1/2 admit no budget; tail(r) does not increase in r, so the
-    scan starts at the first radius below 1/2, which ``_first_true`` finds
-    by galloping and bisection with the same tail function.  It stops once
-    dim(r) alone reaches the best bound, which is exact: dim(r) increases
-    strictly in r, the rest is >= 0.  For the same reason h(g) is skipped
-    where dim(r) + 2 n g already reaches the best bound.
+    Radius r with tail budget eps' = tail(r) gives f(r) = dim(r) + c(r) +
+    h(g), g = sqrt(2 eps'), c(r) = 2 n g.  Any budget eps' >= tail(r) gives
+    a valid upper bound; tail(r) is the best one for r once n >= 27, where
+    2 n g + h(g) increases in g for every double g < 1.  Below that (``qfp
+    solve --n`` takes any n >= 1) a budget between tail(r) and tail(r - 1)
+    could be lower, so the value is a valid upper bound but not always the
+    least over every budget.  Radii with tail(r) >= 1/2 admit no budget.
+
+    The search rests on two facts, which hold for the floating-point sums
+    too: dim(r) increases strictly in r, and tail(r) does not increase.
+    So the admissible radii start at ``first``, the first with tail below
+    1/2, which ``_first_true`` finds by galloping and bisection.  Galloping
+    again, the scan starts where f stops falling, near the optimum: at the
+    first radius whose c(r) exceeds c(r + 1) by at most one dimension step,
+    dim(first + 1) - dim(first).  Any start gives the same result; this one
+    keeps both walks short, and where c(r) falls slowly it is ``first``.
+    The scan goes up while dim(r) alone stays below the best bound (the
+    rest is >= 0), then walks down from the start while dim(first) + c(r),
+    a lower bound on f at r and at every radius below it, does not exceed
+    the best bound; there a tie replaces the best, so ties go to the
+    smaller radius, as in one scan up from ``first``.  h(g) is skipped
+    where dim(r) + c(r) alone settles a radius.
     """
     if not 0.0 <= mu_min <= mu_max < math.inf:
         raise ValueError(f"bad photon range [{mu_min}, {mu_max}]")
-    first = _first_true(lambda r: _typical_tail(mu_min, mu_max, r) < 0.5)
-    best = None  # (bits, radius, eps', dimension, continuity, h)
-    for radius in itertools.count(first):
-        dim_term = _log2_fock_dim(mu_max + radius,
-                                  mu_max - mu_min + 2.0 * radius + 1.0, m_k)
-        if best is not None and dim_term >= best[0]:
-            break
+
+    def dimension(radius: int) -> float:
+        return _log2_fock_dim(mu_max + radius,
+                              mu_max - mu_min + 2.0 * radius + 1.0, m_k)
+
+    def budget(radius: int) -> tuple[float, float, float]:
         eps = _typical_tail(mu_min, mu_max, radius)
         gamma = math.sqrt(2.0 * eps)
-        continuity = 2.0 * n * gamma
+        return eps, gamma, 2.0 * n * gamma
+
+    probed = {}  # the gallops' budgets, O(log r), which the scans reuse
+
+    def probe(radius: int) -> tuple[float, float, float]:
+        if radius not in probed:
+            probed[radius] = budget(radius)
+        return probed[radius]
+
+    first = _first_true(lambda r: probe(r)[0] < 0.5)
+    floor = dimension(first)
+    step = dimension(first + 1) - floor
+    start = first - 1 + _first_true(
+        lambda j: probe(first - 1 + j)[2] - probe(first + j)[2] <= step)
+    best = None  # (bits, radius, eps', dimension, continuity, h)
+    for radius in itertools.count(start):
+        dim_term = dimension(radius)
+        if best is not None and dim_term >= best[0]:
+            break
+        eps, gamma, continuity = probed.get(radius) or budget(radius)
         if best is not None and dim_term + continuity >= best[0]:
             continue
         entropy = binary_entropy(gamma)
         bits = dim_term + continuity + entropy
         if best is None or bits < best[0]:
+            best = (bits, radius, eps, dim_term, continuity, entropy)
+    for radius in range(start - 1, first - 1, -1):
+        eps, gamma, continuity = probed.get(radius) or budget(radius)
+        if floor + continuity > best[0]:
+            break
+        dim_term = dimension(radius)
+        if dim_term + continuity > best[0]:
+            continue
+        entropy = binary_entropy(gamma)
+        bits = dim_term + continuity + entropy
+        if bits <= best[0]:
             best = (bits, radius, eps, dim_term, continuity, entropy)
     bits, radius, eps, dim_term, continuity, entropy = best
     return LeakageBound(bits=bits, method="fannes_audenaert",

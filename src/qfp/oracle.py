@@ -254,15 +254,26 @@ def interp_measurement_oracle(codeword_x: np.ndarray, codeword_y: np.ndarray,
     return np.array(results)
 
 
+def _equal_input_span(states_equal: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal rows spanning the equal-input product states
+    {|psi psi>}, by SVD of their stack."""
+    stack = np.stack([np.kron(s, s) for s in states_equal]).astype(complex)
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    return vh[svals > 1e-10 * svals[0]]
+
+
+def _projector_error(span: np.ndarray, probe_x: np.ndarray,
+                     probe_y: np.ndarray) -> float:
+    """Weight of |psi_x psi_y> on the span of ``_equal_input_span``'s rows."""
+    probe = np.kron(probe_x, probe_y).astype(complex)
+    coeffs = span.conj() @ probe
+    return float(np.real(np.vdot(coeffs, coeffs)))
+
+
 def optimal_projector_error(states_equal: list[np.ndarray], probe_x: np.ndarray,
                             probe_y: np.ndarray) -> float:
     """Error of the optimal one-sided equality measurement on |psi_x psi_y>.
 
     Projects onto the span of the equal-input product states {|psi psi>}.
     """
-    stack = np.stack([np.kron(s, s) for s in states_equal]).astype(complex)
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    basis = vh[svals > 1e-10 * svals[0]]
-    probe = np.kron(probe_x, probe_y).astype(complex)
-    coeffs = basis.conj() @ probe
-    return float(np.real(np.vdot(coeffs, coeffs)))
+    return _projector_error(_equal_input_span(states_equal), probe_x, probe_y)

@@ -1,7 +1,9 @@
 """Tests for the information-leakage bounds."""
 
 import csv
+import itertools
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qfp import leakage
-from qfp.analysis import InfeasibleError, NoiseModel
+from qfp.analysis import (InfeasibleError, NoiseModel, _first_true,
+                          solve_amplitude)
 from qfp.codes import binary_entropy, gv_binary_rate
-from qfp.leakage import (_coherent_family_qil, _log2_fock_dim,
+from qfp.constellations import lattice_mu_range
+from qfp.leakage import (LeakageBound, _coherent_family_qil, _log2_fock_dim,
                          _log_poisson_tail_bound, _poisson_pmf, _typical_tail,
                          asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
@@ -143,12 +147,13 @@ class TestLambdaVectors:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_ring_equals_inline_table(self, k):
-        # the cached DFT table, kept in row blocks, gives the same bits as
-        # one unsplit matrix built per call
+        # the cached DFT table, kept in row blocks with its roots of unity
+        # less one, gives the same bytes (zero signs included) as one
+        # unsplit matrix built per call
         for b2 in np.logspace(-12.0, 2.0, 29):
             beta = math.sqrt(b2)
-            assert np.array_equal(lambda_ring(k, beta),
-                                  _lambda_ring_inline(k, beta))
+            assert (lambda_ring(k, beta).tobytes()
+                    == _lambda_ring_inline(k, beta).tobytes())
 
     def test_ring_sums_to_one(self):
         for k in (1, 4, 8):
@@ -189,6 +194,20 @@ class TestMajorizationBounds:
         # the inverse DFT of the vacuum leaves round-off off index 0
         assert qil_ring(k, 1001, 0.0).bits == 0.0
 
+    @pytest.mark.parametrize("k", range(1, leakage._RING_K_MAX + 1))
+    def test_ring_entropy_skips_only_the_checks(self, k):
+        # qil_ring takes H(Lambda) without shannon_entropy's input checks;
+        # the bits must be the same up to the cap, whose DFT table
+        # (256 MiB at k = 12) is dropped after the test
+        try:
+            for b2 in np.logspace(-12.0, 2.0, 8):
+                beta = math.sqrt(b2)
+                got = qil_ring(k, 1000.0, beta).subterms["per_signal_entropy"]
+                assert got == shannon_entropy(lambda_ring(k, beta)), b2
+        finally:
+            if k > 10:
+                leakage._ring_tables.cache_clear()
+
 
 def _exact_log_tail(mu, shift):
     """-mu + s (1 + log mu - log s), s = mu + shift, at 200 digits."""
@@ -197,7 +216,38 @@ def _exact_log_tail(mu, shift):
         return float(-mu + s * (1 + mpmath.log(mu) - mpmath.log(s)))
 
 
+_SERIES = tuple(1.0 / j for j in range(13, 1, -1))
+
+
+def _log_poisson_tail_bound_loop(mu: float, shift: float) -> float:
+    """_log_poisson_tail_bound with its series summed by the Horner loop
+    over _SERIES that the unrolled expression replaced, kept verbatim."""
+    s = mu + shift
+    if s <= 0.0:
+        return 0.0
+    if mu <= 0.0:
+        return -math.inf
+    x = shift / s
+    if abs(x) <= 0.05:
+        acc = 0.0
+        for c in _SERIES:
+            acc = acc * x + c
+        return -s * x * x * acc
+    return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
+                              else -math.log(s / mu))))
+
+
 class TestPoissonTailBound:
+    def test_unrolled_series_equals_the_loop(self):
+        # the same operations in the same order give the same float
+        rng = random.Random(25)
+        for _ in range(100_000):
+            mu = 10.0 ** rng.uniform(-6.0, 8.0)
+            x = rng.uniform(-0.05, 0.05)
+            shift = mu * x / (1.0 - x)  # x = shift / (mu + shift)
+            assert (_log_poisson_tail_bound(mu, shift)
+                    == _log_poisson_tail_bound_loop(mu, shift)), (mu, shift)
+
     def test_matches_mpmath_and_never_positive(self):
         # near s = mu the two logs cancel; the exponent of a Chernoff bound
         # is <= 0, so a positive value would overflow exp to a bound > 1
@@ -275,6 +325,77 @@ def _assert_equals_brute_force(n, m_k, mu_min, mu_max):
     return bound
 
 
+def _linear_scan_bound(n: float, m_k: float, mu_min: float,
+                       mu_max: float) -> LeakageBound:
+    """fannes_audenaert_bound as one scan up from the first admissible
+    radius, the reference for the search that replaced it (kept verbatim)."""
+    if not 0.0 <= mu_min <= mu_max < math.inf:
+        raise ValueError(f"bad photon range [{mu_min}, {mu_max}]")
+    first = _first_true(lambda r: _typical_tail(mu_min, mu_max, r) < 0.5)
+    best = None  # (bits, radius, eps', dimension, continuity, h)
+    for radius in itertools.count(first):
+        dim_term = _log2_fock_dim(mu_max + radius,
+                                  mu_max - mu_min + 2.0 * radius + 1.0, m_k)
+        if best is not None and dim_term >= best[0]:
+            break
+        eps = _typical_tail(mu_min, mu_max, radius)
+        gamma = math.sqrt(2.0 * eps)
+        continuity = 2.0 * n * gamma
+        if best is not None and dim_term + continuity >= best[0]:
+            continue
+        entropy = binary_entropy(gamma)
+        bits = dim_term + continuity + entropy
+        if best is None or bits < best[0]:
+            best = (bits, radius, eps, dim_term, continuity, entropy)
+    bits, radius, eps, dim_term, continuity, entropy = best
+    return LeakageBound(bits=bits, method="fannes_audenaert",
+                        subterms={"dimension": dim_term,
+                                  "continuity": continuity,
+                                  "binary_entropy": entropy,
+                                  "window_radius": radius, "eps_prime": eps})
+
+
+def _start_radius(n, m_k, mu_min, mu_max):
+    """Where the search starts: the first admissible radius r whose
+    continuity term c(r) = 2 n sqrt(2 tail(r)) exceeds c(r + 1) by at most
+    one dimension step, dim(first + 1) - dim(first)."""
+    def continuity(radius):
+        return 2.0 * n * math.sqrt(2.0 * _typical_tail(mu_min, mu_max, radius))
+
+    first = _first_true(lambda r: _typical_tail(mu_min, mu_max, r) < 0.5)
+    step = (_window_dim(m_k, mu_min, mu_max, first + 1)
+            - _window_dim(m_k, mu_min, mu_max, first))
+    return next(r for r in itertools.count(first)
+                if continuity(r) - continuity(r + 1) <= step)
+
+
+# `qfp solve --family lattice --k 24` (n = 1000, delta = 0.25): the optimum
+# is the first admissible radius, 2,754,925; a start where c(r) itself falls
+# to one dimension step would lie 6.8 million radii above it
+_LATTICE_K24 = (1000.0, 220.79166666666666, 326479.54368176736,
+                5474743629988.149)
+
+
+@pytest.fixture(scope="module")
+def lattice_design_points():
+    """(n, m_k, mu_min, mu_max) of every feasible point of the lattice delta
+    optimizer's coarse grid at epsilon = 0.01, ideal: k = 2, 3 and 11
+    log-spaced n in [1e3, 1e8]."""
+    points = []
+    for k in (2, 3):
+        for n in np.logspace(3.0, 8.0, 11):
+            for delta in np.linspace(leakage._DELTA_LO, 0.4999,
+                                     leakage._COARSE_GRID_POINTS):
+                m = n / gv_binary_rate(delta)
+                try:
+                    mu = solve_amplitude(k, int(round(m)), delta, 0.01)
+                except InfeasibleError:
+                    continue
+                points.append((float(n), m / k,
+                               *lattice_mu_range(k, int(round(m)), mu)))
+    return points
+
+
 class TestFannesAudenaert:
     @pytest.mark.parametrize("n,m_k,mu_min,mu_max", [
         (1e4, 1e4, 8.0, 8.0),
@@ -305,6 +426,45 @@ class TestFannesAudenaert:
     def test_property_equals_brute_force(self, n, m_k, mu):
         mu_min, mu_max = sorted(mu)
         _assert_equals_brute_force(n, m_k, mu_min, mu_max)
+
+    def test_equals_linear_scan_at_lattice_design_points(
+            self, lattice_design_points):
+        # bits and every subterm, at points whose search starts below the
+        # optimum (it scans up), on it, or above it (it walks down), one of
+        # them at n = 20 (``qfp solve --n 20``)
+        below_n20 = (20.0, 20.0, 0.003, 0.003)
+        cases = [*lattice_design_points, below_n20, _LATTICE_K24]
+        starts = {"below": 0, "on": 0, "above": 0}
+        for case in cases:
+            bound = fannes_audenaert_bound(*case)
+            assert bound == _linear_scan_bound(*case), case
+            start = _start_radius(*case)
+            radius = bound.subterms["window_radius"]
+            starts["below" if start < radius else
+                   "on" if start == radius else "above"] += 1
+        assert _start_radius(*below_n20) == 1
+        assert fannes_audenaert_bound(*below_n20).subterms[
+            "window_radius"] == 2
+        assert len(cases) > 800 and min(starts.values()) > 0, starts
+
+    def test_tail_evaluations_per_call(self, monkeypatch,
+                                       lattice_design_points):
+        # the linear scan takes 61.2 tail bounds per call on these points,
+        # the search 34.2; at the k = 24 point it takes 86, where a start at
+        # the first c(r) <= step would walk down 6.8 million radii
+        calls = [0]
+
+        def spy(*args, _real=_typical_tail):
+            calls[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(leakage, "_typical_tail", spy)
+        for case in lattice_design_points:
+            fannes_audenaert_bound(*case)
+        assert calls[0] / len(lattice_design_points) < 36.0
+        calls[0] = 0
+        fannes_audenaert_bound(*_LATTICE_K24)
+        assert calls[0] < 100
 
     def test_monotone_in_photon_number(self):
         n, m_k = 1e4, 1e4
