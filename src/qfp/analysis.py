@@ -394,6 +394,11 @@ def _c_div(num: float, den: float) -> float:
 
 
 _MU_CAP = 1e7
+# _brentq's tolerances in solve_amplitude: its root may sit up to
+# xtol + rtol |x| below the crossing, which the delta optimizer's floor
+# allows for
+_AMPLITUDE_XTOL = 1e-12
+_AMPLITUDE_RTOL = 1e-10
 
 
 def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
@@ -440,7 +445,8 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
                 f"(dark counts too strong)"
             )
     try:
-        mu_det = _brentq(excess, lo, hi, xtol=1e-12, rtol=1e-10)
+        mu_det = _brentq(excess, lo, hi, xtol=_AMPLITUDE_XTOL,
+                         rtol=_AMPLITUDE_RTOL)
     except _SignError:
         # excess(hi) <= 0, and excess(lo) >= 0 unless lo reached the floor
         # unevaluated: there dark counts alone keep the error below epsilon

@@ -1,6 +1,7 @@
 """Tests for the information-leakage bounds."""
 
 import csv
+import dataclasses
 import itertools
 import math
 import random
@@ -17,13 +18,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qfp import leakage
-from qfp.analysis import (InfeasibleError, NoiseModel, _first_true,
-                          solve_amplitude)
+from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
+                          NoiseModel, _first_true, solve_amplitude)
+from qfp.cli import CURVE_PRESETS, n_grid
 from qfp.codes import binary_entropy, gv_binary_rate
 from qfp.constellations import lattice_mu_range
-from qfp.leakage import (LeakageBound, _coherent_family_qil, _log2_fock_dim,
-                         _log_poisson_tail_bound, _poisson_pmf, _typical_tail,
-                         asymptotic_bound, classical_reference,
+from qfp.leakage import (_COARSE_GRID_POINTS, _DELTA_LO, LeakageBound,
+                         _coherent_family_qil, _log2_fock_dim,
+                         _log_poisson_tail_bound, _poisson_pmf, _qil_floor,
+                         _typical_tail, asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
                          lambda_ring, lambda_ring_series,
                          optimize_delta_for_qil, qil_interpolation, qil_ring,
@@ -572,12 +575,17 @@ class TestDeltaOptimization:
             with pytest.raises(ValueError, match="lattice family needs 2"):
                 optimize_delta_for_qil("lattice", k, 1e3, 0.01)
 
-    @pytest.mark.parametrize("family,hook", [("ring", "qil_ring"),
-                                             ("lattice", "lattice_mu_range")])
+    @pytest.mark.parametrize("family,hook,noise,floors", [
+        ("ring", "qil_ring", IDEAL_NOISE, 0),
+        ("lattice", "lattice_mu_range", IDEAL_NOISE, 0),
+        ("ring", "qil_ring", PAPER_EXP_NOISE, _COARSE_GRID_POINTS)],
+        ids=["ring-qil_ring", "lattice-lattice_mu_range",
+             "ring-qil_ring-paper-exp"])
     def test_bounds_resolve_through_module_globals(self, monkeypatch, family,
-                                                   hook):
+                                                   hook, noise, floors):
         # the benchmark's tracer rebinds module globals only, so each delta
-        # evaluation and each family's bound must be reached through them
+        # evaluation, each family's bound and each grid point's floor (one
+        # bound each under dark counts) must be reached through them
         calls = {"_coherent_family_qil": 0, hook: 0}
         for name in calls:
             def spy(*args, _real=getattr(leakage, name), _name=name):
@@ -585,8 +593,9 @@ class TestDeltaOptimization:
                 return _real(*args)
 
             monkeypatch.setattr(leakage, name, spy)
-        optimize_delta_for_qil(family, 2, 1e3, 0.01)
-        assert calls["_coherent_family_qil"] == calls[hook] > 0
+        optimize_delta_for_qil(family, 2, 1e3, 0.01, noise=noise)
+        assert calls["_coherent_family_qil"] + floors == calls[hook]
+        assert calls["_coherent_family_qil"] > 0
 
     def test_optimal_lb_below_beamsplitter_amplitude(self):
         bs = optimize_delta_for_qil("ring", 3, 1e4, 0.01,
@@ -615,3 +624,130 @@ class TestDeltaOptimization:
         with pytest.raises(InfeasibleError):
             _coherent_family_qil("ring", 4, 1e4, 1e4, 0.0, 0.01, NoiseModel(),
                                  "optimal_lb")
+
+
+_FIG3 = CURVE_PRESETS["fig3"]
+_DELTA_GRID = [float(d) for d in np.linspace(_DELTA_LO, 0.4999,
+                                              _COARSE_GRID_POINTS)]
+
+
+def _design_args(k, n, delta, epsilon, noise):
+    """The delta optimizer's design point at one distance."""
+    return ("ring", k, n, n / gv_binary_rate(delta), delta, epsilon, noise,
+            "beamsplitter")
+
+
+def _objective(args):
+    try:
+        return _coherent_family_qil(*args).bound.bits
+    except InfeasibleError:
+        return math.inf
+
+
+def _fig3_optimum(k, n, noise=PAPER_EXP_NOISE, epsilon=_FIG3["epsilon"]):
+    return optimize_delta_for_qil("ring", k, n, epsilon, noise=noise)
+
+
+class TestObjectiveFloor:
+    # (noise, input sizes): at p_dark = 1e-3 the n = 1e8 grid reaches
+    # 1.7e12 expected dark clicks and takes 7 s, so it stops at 1e5
+    @pytest.mark.parametrize("noise,ns", [
+        (PAPER_EXP_NOISE, (1e3, 1e8)),
+        (NoiseModel(eta=0.5, p_dark=1e-6), (1e3, 1e8)),
+        (NoiseModel(p_dark=1e-3), (1e3, 1e5))],
+        ids=["paper-exp", "eta0.5-dark1e-6", "dark1e-3"])
+    def test_floor_below_objective(self, noise, ns):
+        slack, infeasible = math.inf, 0
+        for k, n, delta in itertools.product((1, 2, 3), ns, _DELTA_GRID):
+            for epsilon in (0.01, 0.1, 0.3):
+                args = _design_args(k, n, delta, epsilon, noise)
+                floor, value = _qil_floor(*args), _objective(args)
+                assert floor <= value, args
+                infeasible += value == math.inf
+                if 0.0 < value < math.inf:
+                    slack = min(slack, (value - floor) / value)
+            # epsilon >= 1/2 clamps the floor's amplitude to 0: the vacuum
+            # leaks nothing, and every bound is >= 0
+            assert _qil_floor(*_design_args(k, n, delta, 0.6, noise)) == 0.0
+        print(f"smallest relative slack {slack:.3g}; "
+              f"{infeasible} infeasible points")
+
+    @pytest.mark.parametrize("noise", [
+        IDEAL_NOISE, NoiseModel(eta=0.5), NoiseModel(p_dark=1e-6,
+                                                     visibility=0.9)],
+        ids=["ideal", "loss", "visibility"])
+    def test_no_floor_outside_dark_counts_at_full_visibility(self, noise):
+        for measurement in ("beamsplitter", "optimal_lb"):
+            args = _design_args(2, 1e4, 0.3, 0.01, noise)[:-1] + (measurement,)
+            assert _qil_floor(*args) == -math.inf
+        args = ("lattice",) + _design_args(2, 1e4, 0.3, 0.01,
+                                           PAPER_EXP_NOISE)[1:]
+        assert _qil_floor(*args) == -math.inf
+
+    @pytest.mark.parametrize("noise", [IDEAL_NOISE, NoiseModel(
+        eta=PAPER_EXP_NOISE.eta, p_dark=PAPER_EXP_NOISE.p_dark,
+        visibility=0.9)], ids=["ideal", "visibility0.9"])
+    def test_every_grid_point_solved_without_a_floor(self, monkeypatch,
+                                                     noise):
+        solved = []
+
+        def spy(*args, _real=_coherent_family_qil):
+            solved.append(args[4])
+            return _real(*args)
+
+        monkeypatch.setattr(leakage, "_coherent_family_qil", spy)
+        opt = _fig3_optimum(1, 1e3, noise)
+        assert solved[:_COARSE_GRID_POINTS] == _DELTA_GRID
+        assert opt.diagnostics["skipped"] == 0
+        assert opt.diagnostics["evaluations"] == len(solved)
+
+    @pytest.mark.parametrize("noise,ns,epsilon", [
+        (PAPER_EXP_NOISE, tuple(n_grid()), _FIG3["epsilon"]),
+        (NoiseModel(p_dark=1e-3), (1e3,), 0.01)],
+        ids=["fig3", "dark1e-3"])
+    def test_skipping_changes_no_optimum(self, monkeypatch, noise, ns,
+                                         epsilon):
+        points = [(k, float(n)) for n in ns for k, _ in _FIG3["series"]]
+        skipped = [_fig3_optimum(k, n, noise, epsilon) for k, n in points]
+        monkeypatch.setattr(leakage, "_qil_floor", lambda *args: -math.inf)
+        solved = [_fig3_optimum(k, n, noise, epsilon) for k, n in points]
+        assert skipped == solved
+        assert all(opt.diagnostics["skipped"] > 0 for opt in skipped)
+        assert all(opt.diagnostics["skipped"] == 0 for opt in solved)
+        if noise.p_dark == 1e-3:  # the full scan meets an infeasible delta
+            assert all(opt.diagnostics["infeasible"] > 0 for opt in solved)
+
+    # solves per fig3 optimization: a change that stops skipping, or skips
+    # less, moves these counts (every grid point solved would be 66)
+    @pytest.mark.parametrize("k,n,solves", [(1, 1e3, 27), (2, 1e3, 27),
+                                            (1, 1e8, 47), (2, 1e8, 45)])
+    def test_fig3_solve_count(self, monkeypatch, k, n, solves):
+        calls = []
+
+        def spy(*args, _real=_coherent_family_qil):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(leakage, "_coherent_family_qil", spy)
+        opt = _fig3_optimum(k, n)
+        assert len(calls) == solves
+        assert opt.diagnostics == {
+            "evaluations": solves, "infeasible": 0, "skipped": 66 - solves,
+            "grid_fallback": False, "argmin_at_edge": False}
+
+
+class TestDeltaDiagnostics:
+    def test_diagnostics_take_no_part_in_equality(self):
+        opt = _fig3_optimum(1, 1e3)
+        assert opt == dataclasses.replace(opt, diagnostics={})
+        assert _coherent_family_qil(
+            *_design_args(1, 1e3, 0.3, 0.01, IDEAL_NOISE)).diagnostics == {}
+
+    def test_arbitrary_distance_is_flagged(self):
+        # near delta = 1/2 the dark counts of the long codewords alone
+        # attain epsilon = 0.9, so the minimum, 0 bits, sits at the grid's
+        # last point and the returned delta says nothing about the bound
+        opt = _fig3_optimum(1, 1e3, epsilon=0.9)
+        assert (opt.delta, opt.bound.bits) == (0.4999, 0.0)
+        assert opt.diagnostics["argmin_at_edge"]
+        assert opt.diagnostics["grid_fallback"]
