@@ -410,7 +410,11 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     returned value is the launched (initial) photon number, i.e. it includes
     the 1/eta rescale.  If the error stays below epsilon down to the 1e-12
     floor of the lower bracket, dark counts alone attain epsilon and the
-    value is 0.0, as at epsilon = 1.
+    value is 0.0, as at epsilon = 1.  At visibility 1 with k*delta < 1 the
+    click probability p_D is capped below frac + p_dark - frac p_dark
+    (frac = k*delta) whatever the amplitude; if even the cap leaves no
+    click more likely than epsilon, ``InfeasibleError`` names the cap
+    before any bracketing.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -424,6 +428,19 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
         return mu_ideal / noise.eta
 
     log_eps = math.log(epsilon)
+    if noise.visibility == 1.0 and k * delta < 1.0:
+        # step 0 never clicks, so p_D stays below its limit p_inf and the
+        # error is at least P(no click) = (1 - p_D)^m_k at every amplitude;
+        # the margin keeps round-off from raising where a root exists
+        p_inf = _with_dark_counts(k * delta, noise.p_dark)
+        m_k = -(-m // k)
+        log_floor = m_k * math.log1p(-p_inf)
+        if log_floor - log_eps > 1e-9:
+            raise InfeasibleError(
+                f"error {epsilon} unattainable at any mu: at k*delta = "
+                f"{k * delta:g} < 1 a signal clicks with probability below "
+                f"p_inf = {p_inf:g}, so no signal clicks with probability "
+                f"above (1 - p_inf)^{m_k} = {math.exp(log_floor):g}")
 
     memo = {}  # the bracket loops and _brentq revisit amplitudes
 

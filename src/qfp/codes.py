@@ -126,10 +126,16 @@ def worst_case_pair(m: int, delta: float, k: int,
     dist = int(round(m * delta))
     if not 0 <= dist <= m:
         raise ValueError(f"round(m*delta)={dist} outside [0, {m}]")
-    grid = _signal_blocks(np.arange(1, m + 1), k)  # 1-based; 0 is padding
-    order = (grid if strategy == "consolidated" else grid.T).reshape(-1)
-    order = order[order > 0] - 1
     x = np.zeros(m, dtype=np.uint8)
     y = np.zeros(m, dtype=np.uint8)
-    y[order[:dist]] = 1
+    # the order as runs of positions: one signal-major run, or one run per
+    # bit t, a strided view of y over every signal that has a bit t
+    if strategy == "consolidated":
+        runs = [y]
+    else:
+        runs = [y[t::k] for t in range(min(k, m))]
+    for run in runs:
+        flips = min(dist, run.size)
+        run[:flips] = 1
+        dist -= flips
     return x, y

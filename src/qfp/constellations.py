@@ -79,8 +79,8 @@ _MODULATIONS = {"ring": (ring_gray, ring_constellation),
                 "lattice": (lattice_gray, lattice_constellation)}
 
 
-def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
-    """Amplitude sequence of the ring or lattice protocol for one codeword.
+def _label_points(family: str, k: int, m: int, mu: float) -> np.ndarray:
+    """The point of each label 0, ..., 2^k - 1 for a codeword of m bits.
 
     The per-signal amplitude is the ring's radius and the lattice's rms
     modulus, so the total mean photon number is mu on the ring and mu
@@ -89,16 +89,32 @@ def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
     if family not in _MODULATIONS:
         raise ValueError(f"unsupported family {family!r}; the encoder "
                          f"knows {sorted(_MODULATIONS)}")
+    gray, constellation = _MODULATIONS[family]
+    by_label = np.empty(1 << k, dtype=complex)
+    by_label[gray(k)] = constellation(k, _signal_amplitude(m, k, mu))
+    return by_label
+
+
+def _signal_labels(codeword, k: int) -> np.ndarray:
+    """Each signal's label, its k bits read first bit most significant (the
+    last signal zero-padded), as int64; an entry other than 0 or 1 raises."""
     codeword = np.asarray(codeword)
     stray = codeword[(codeword != 0) & (codeword != 1)]
     if stray.size:
         raise ValueError(f"codeword bits must be 0 or 1, got {stray[0]}")
-    gray, constellation = _MODULATIONS[family]
-    by_label = np.empty(1 << k, dtype=complex)
-    by_label[gray(k)] = constellation(k, _signal_amplitude(codeword.size, k, mu))
-    # each signal's label, first bit most significant
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return by_label[_signal_blocks(codeword, k).astype(np.int64) @ weights]
+    rows = _signal_blocks(codeword.astype(np.uint8, copy=False), k)
+    labels = np.zeros(len(rows), dtype=np.int64)
+    for bit in rows.T:
+        labels <<= 1
+        labels |= bit
+    return labels
+
+
+def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
+    """Amplitude sequence of the ring or lattice protocol for one codeword:
+    each signal's point by its label (``_label_points``)."""
+    points = _label_points(family, k, np.size(codeword), mu)
+    return points[_signal_labels(codeword, k)]
 
 
 def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:

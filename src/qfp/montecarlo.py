@@ -5,9 +5,13 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Trials run in
 blocks of ``block_rows(width)`` that only bound memory: numpy consumes the
 stream element by element in C order, so the blocks draw the numbers one
 whole-run array would, and results are a pure function of the plan whatever
-the block size.  A Euclidean-distance trial is one uniform: its estimator
-reads only the click difference D = N_light - N_dark, whose exact law is
-built once per plan and sampled by inversion.
+the block size.  An equality trial draws one binomial click total per
+distinct click probability of the pair: a signal's probability depends only
+on its (label_x, label_y) pair, so the law is built from the few distinct
+label pairs (2-4 for a worst-case ring pair), not from m per-signal
+amplitudes.  A Euclidean-distance trial is one uniform: its estimator reads
+only the click difference D = N_light - N_dark, whose exact law is built
+once per plan and sampled by inversion.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import NoiseModel, click_probs, ed_estimate
-from .constellations import ProtocolInstance, encode, encode_ed
+from .constellations import (ProtocolInstance, _label_points, _signal_labels,
+                             encode, encode_ed)
 from .leakage import _TAIL_MASS, _count_law_size  # noqa: F401
 
 __all__ = [
@@ -101,19 +106,38 @@ def signal_click_probs(plan: TrialPlan) -> np.ndarray:
                        encode(plan.input_y, p.family, p.k, p.mu), plan.noise)
 
 
+def _click_profile(plan: TrialPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's click law: its distinct per-signal click probabilities,
+    rounded to 15 decimals and ascending, and how many signals have each.
+
+    A signal's probability depends only on its (label_x, label_y) pair, so
+    it is computed once per distinct pair on ``encode``'s point-by-label
+    table, and pairs whose rounded probabilities coincide merge.
+    """
+    p = plan.protocol
+    points = _label_points(p.family, p.k, np.size(plan.input_x), p.mu)
+    pairs, per_pair = np.unique(_signal_labels(plan.input_x, p.k) << p.k
+                                | _signal_labels(plan.input_y, p.k),
+                                return_counts=True)
+    probs = click_probs(points[pairs >> p.k],
+                        points[pairs & ((1 << p.k) - 1)], plan.noise)
+    uniq, which = np.unique(np.round(probs, 15), return_inverse=True)
+    counts = np.zeros(uniq.size, dtype=per_pair.dtype)
+    np.add.at(counts, which, per_pair)
+    return uniq, counts
+
+
 def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
     """Empirical error rate of the decision "NotEqual iff at least d_th
     dark-port clicks", with d_th from the click model
     (``analysis.worst_case_error_with_threshold``).
 
     For different inputs the error is deciding Equal (clicks below
-    threshold); for equal inputs it is deciding NotEqual.
+    threshold); for equal inputs it is deciding NotEqual.  Per trial only
+    the click totals of the pair's click law (``_click_profile``) are drawn.
     """
-    probs = signal_click_probs(plan)
+    uniq, counts = _click_profile(plan)
     inputs_equal = bool(np.array_equal(plan.input_x, plan.input_y))
-    # group signals by click probability; per trial only the group totals
-    # are needed
-    uniq, counts = np.unique(np.round(probs, 15), return_counts=True)
     rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
     errors = 0
     for _, rows in _blocks(plan.trials, block_rows(uniq.size)):

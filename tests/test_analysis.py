@@ -637,6 +637,53 @@ class TestSolveAmplitude:
         with pytest.raises(InfeasibleError):
             solve_amplitude(1, 10, 0.25, 1e-12, noise)
 
+    def test_click_cap_is_named_before_bracketing(self, monkeypatch):
+        # fig3 noise at n = 1e3, k = 1, eps = 0.9 and the grid point
+        # delta = 1e-4: only a share k*delta of the signal can click, so no
+        # click stays more likely than 0.9 at every amplitude, and the error
+        # names that cap instead of doubling the bracket up to the mu cap
+        seen = []
+        real = analysis.worst_case_error_with_threshold
+
+        def spy(k, m, mu_detected, *args):
+            seen.append(mu_detected)
+            return real(k, m, mu_detected, *args)
+
+        monkeypatch.setattr(analysis, "worst_case_error_with_threshold", spy)
+        m = int(round(1e3 / gv_binary_rate(1e-4)))
+        assert m == 1001
+        with pytest.raises(InfeasibleError,
+                           match=r"^error 0\.9 unattainable at any mu: at "
+                                 r"k\*delta = 0\.0001 < 1 a signal clicks "
+                                 r"with probability below p_inf = 0\.0001, "
+                                 r"so no signal clicks with probability "
+                                 r"above \(1 - p_inf\)\^1001 = 0\.904742$"):
+            solve_amplitude(1, m, 1e-4, 0.9, PAPER_EXP_NOISE)
+        assert seen == []
+
+    @pytest.mark.parametrize("k,m,delta", [(1, 1001, 1e-4), (2, 1000, 1e-3),
+                                           (3, 99, 2e-3)])
+    def test_click_cap_is_tight(self, k, m, delta):
+        # a hair above the no-click floor the root exists and is found; a
+        # hair below it the cap is named
+        noise = NoiseModel(eta=0.5, p_dark=1e-6)
+        m_k = -(-m // k)
+        floor = (1.0 - (k * delta + 1e-6 - k * delta * 1e-6)) ** m_k
+        mu = solve_amplitude(k, m, delta, floor * (1 + 1e-6), noise)
+        res = worst_case_error_with_threshold(k, m, mu * noise.eta, delta,
+                                              noise)
+        assert res.worst_case_error == pytest.approx(floor * (1 + 1e-6),
+                                                     rel=1e-6)
+        with pytest.raises(InfeasibleError, match="p_inf"):
+            solve_amplitude(k, m, delta, floor * (1 - 1e-6), noise)
+
+    def test_click_cap_needs_visibility_one(self):
+        # below visibility 1 every signal clicks at high amplitude, so the
+        # cap does not apply and the same point is feasible
+        noise = NoiseModel(eta=0.3, p_dark=7.3e-11, visibility=0.99)
+        mu = solve_amplitude(1, 1001, 1e-4, 0.9, noise)
+        assert 0.0 < mu < math.inf
+
 
 class TestQaryComparison:
     @pytest.mark.parametrize("k", range(2, 7))

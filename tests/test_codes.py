@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import checks
-from qfp.codes import (binary_entropy, gv_binary_length, gv_binary_rate,
-                       gv_qary_rate, lattice_gray, ring_gray,
+from qfp.codes import (_signal_blocks, binary_entropy, gv_binary_length,
+                       gv_binary_rate, gv_qary_rate, lattice_gray, ring_gray,
                        worst_case_pair)
 
 
@@ -140,6 +140,33 @@ class TestWorstCasePair:
                     assert not x.any()
                     assert np.array_equal(np.flatnonzero(y),
                                           np.arange(dist)), (m, k, dist)
+
+    @pytest.mark.parametrize("strategy", ["even", "consolidated"])
+    def test_matches_position_grid(self, strategy):
+        # the strided runs flip exactly what the 1-based position grid they
+        # replaced flipped, in the same dtype, for every m <= 60, k <= 8
+        # and distance
+        for m in range(1, 61):
+            for k in range(1, 9):
+                for dist in range(m + 1):
+                    want = _position_grid_pair(m, dist, k, strategy)
+                    got = worst_case_pair(m, dist / m, k, strategy)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and np.array_equal(a, b), \
+                            (m, k, dist)
+
+
+def _position_grid_pair(m, dist, k, strategy):
+    """The pair as built before the strided runs: the signal layout of the
+    1-based positions (0 pads the last signal), read signal-major or
+    bit-major, padding dropped, its first dist positions flipped in y."""
+    grid = _signal_blocks(np.arange(1, m + 1), k)
+    order = (grid if strategy == "consolidated" else grid.T).reshape(-1)
+    order = order[order > 0] - 1
+    x = np.zeros(m, dtype=np.uint8)
+    y = np.zeros(m, dtype=np.uint8)
+    y[order[:dist]] = 1
+    return x, y
 
 
 def _round_robin_even(m, dist, k):

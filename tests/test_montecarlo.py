@@ -15,7 +15,8 @@ from scipy import stats
 
 from qfp import montecarlo
 from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
-    ring_worst_case_error, solve_amplitude, worst_case_error_with_threshold
+    click_probs, ring_worst_case_error, solve_amplitude, \
+    worst_case_error_with_threshold
 from qfp.codes import worst_case_pair
 from qfp.constellations import ProtocolInstance, encode, encode_ed
 from qfp.montecarlo import (TrialPlan, block_rows, signal_click_probs,
@@ -467,3 +468,67 @@ class TestClickProbs:
         loop = 1.0 - no_click * (1.0 - noise.p_dark)
         probs = signal_click_probs(plan)
         assert np.max(np.abs(probs - loop)) <= 2.2e-16
+
+
+def _per_signal_profile(plan):
+    """The click law as simulate_equality grouped it before: every signal's
+    click probability from the encoded pair, rounded to 15 decimals and
+    grouped by value."""
+    p = plan.protocol
+    probs = click_probs(encode(plan.input_x, p.family, p.k, p.mu),
+                        encode(plan.input_y, p.family, p.k, p.mu), plan.noise)
+    return np.unique(np.round(probs, 15), return_counts=True)
+
+
+def _per_signal_simulation(plan, d_th):
+    """simulate_equality's draws from the per-signal grouping."""
+    uniq, counts = _per_signal_profile(plan)
+    inputs_equal = bool(np.array_equal(plan.input_x, plan.input_y))
+    rng = np.random.Generator(np.random.Philox(key=plan.master_seed))
+    errors = 0
+    for _, rows in montecarlo._blocks(plan.trials, block_rows(uniq.size)):
+        clicks = rng.binomial(counts, uniq, size=(rows, uniq.size)).sum(axis=1)
+        errors += int(np.count_nonzero((clicks >= d_th) == inputs_equal))
+    return montecarlo.EqualityResult(
+        empirical_error=errors / plan.trials,
+        confidence_interval=montecarlo.wilson_interval(errors, plan.trials))
+
+
+class TestClickProfile:
+    """The click law built once per label pair against the per-signal
+    grouping it replaced: the same (probabilities, counts), so the same
+    draws and the same result."""
+
+    @pytest.mark.parametrize("family,k", [("ring", k) for k in range(1, 9)]
+                             + [("lattice", k) for k in range(2, 9)]
+                             + [("ring", 12), ("lattice", 12)])
+    def test_matches_per_signal_grouping(self, family, k):
+        rng = np.random.default_rng(k + 100 * (family == "lattice"))
+        noises = [IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel(visibility=0.97)]
+        cases = 0
+        for noise, m, kind in itertools.product(
+                noises, (k, 7 * k + 3, 1000 if k <= 8 else 300),
+                ("even", "consolidated", "random", "equal")):
+            if kind in ("even", "consolidated"):
+                x, y = worst_case_pair(m, rng.uniform(0.05, 0.45), k, kind)
+            else:
+                x = rng.integers(0, 2, m).astype(np.uint8)
+                y = (x.copy() if kind == "equal"
+                     else rng.integers(0, 2, m).astype(np.uint8))
+            plan = TrialPlan(
+                trials=300, master_seed=int(rng.integers(2**31)),
+                protocol=ProtocolInstance(family=family, k=k,
+                                          mu=rng.uniform(0.5, 40.0)),
+                noise=noise, input_x=x, input_y=y)
+            label = (noise, m, kind)
+            (uniq, counts), (want_uniq, want_counts) = (
+                montecarlo._click_profile(plan), _per_signal_profile(plan))
+            assert uniq.dtype == want_uniq.dtype, label
+            assert counts.dtype == want_counts.dtype, label
+            assert np.array_equal(uniq, want_uniq), label
+            assert np.array_equal(counts, want_counts), label
+            d_th = 1 + cases % 3
+            assert simulate_equality(plan, d_th) == _per_signal_simulation(
+                plan, d_th), label
+            cases += 1
+        assert cases == 36
