@@ -414,7 +414,7 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     click probability p_D is capped below frac + p_dark - frac p_dark
     (frac = k*delta) whatever the amplitude; if even the cap leaves no
     click more likely than epsilon, ``InfeasibleError`` names the cap
-    before any bracketing.
+    before any bracketing, and so does visibility 0 at epsilon < 1/2.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -427,6 +427,10 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     if noise.p_dark == 0.0 and noise.visibility == 1.0:
         return mu_ideal / noise.eta
 
+    if noise.visibility == 0.0 and epsilon < 0.5:
+        # p_D == p_E, so every threshold errs with probability >= 1/2
+        raise InfeasibleError(f"error {epsilon} unattainable at visibility 0,"
+                              f" where equal and different inputs click alike")
     log_eps = math.log(epsilon)
     if noise.visibility == 1.0 and k * delta < 1.0:
         # step 0 never clicks, so p_D stays below its limit p_inf and the
@@ -457,10 +461,11 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     while excess(hi) > 0.0:
         hi *= 2.0
         if hi > _MU_CAP:
+            causes = ["dark counts too strong"] * (noise.p_dark > 0.0) + [
+                f"visibility {noise.visibility:g} too low"] * (noise.visibility < 1.0)
             raise InfeasibleError(
                 f"error {epsilon} unattainable below mu cap {_MU_CAP} "
-                f"(dark counts too strong)"
-            )
+                f"({', '.join(causes)})")
     try:
         mu_det = _brentq(excess, lo, hi, xtol=_AMPLITUDE_XTOL,
                          rtol=_AMPLITUDE_RTOL)

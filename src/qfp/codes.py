@@ -21,6 +21,7 @@ __all__ = [
     "gv_qary_rate",
     "ring_gray",
     "lattice_gray",
+    "gray_position",
     "worst_case_pair",
 ]
 
@@ -97,6 +98,15 @@ def lattice_gray(k: int) -> np.ndarray:
     """
     rows, cols = _lattice_shape(k)
     return _reflected_gray(rows)[:, None] * cols | _reflected_gray(cols)
+
+
+def gray_position(labels) -> np.ndarray:
+    """Each reflected-Gray label's position, inverting p ^ (p >> 1) by a
+    prefix XOR whose five doublings reach 32 >= ``MAX_GRAY_BITS`` bits."""
+    pos = np.asarray(labels, dtype=np.int64)
+    for shift in (1, 2, 4, 8, 16):
+        pos = pos ^ pos >> shift
+    return pos
 
 
 def _signal_blocks(seq, k: int) -> np.ndarray:

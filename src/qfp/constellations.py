@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (_lattice_shape, _ring_size, _signal_blocks, lattice_gray,
-                    ring_gray)
+from .codes import _lattice_shape, _ring_size, _signal_blocks, gray_position
 
 __all__ = [
     "ProtocolInstance",
@@ -43,11 +42,10 @@ class ProtocolInstance:
     alpha: complex = 0.0
 
 
-def ring_constellation(k: int, beta: float) -> np.ndarray:
-    """The point beta e^(2 pi i j / 2^k) at each ring position j, position 0
-    on the positive real axis."""
-    j = np.arange(_ring_size(k))
-    return beta * np.exp(2j * np.pi * j / (1 << k))
+def ring_constellation(k: int, beta: float, labels: np.ndarray) -> np.ndarray:
+    """The point beta e^(2 pi i j / 2^k) of each label in [0, 2^k), j its
+    ring position (``ring_gray``), position 0 on the positive real axis."""
+    return beta * np.exp(2j * np.pi * gray_position(labels) / _ring_size(k))
 
 
 def _lattice_grid(k: int, beta_rms: float) -> tuple[int, int, float]:
@@ -59,13 +57,15 @@ def _lattice_grid(k: int, beta_rms: float) -> tuple[int, int, float]:
     return rows, cols, beta_rms / math.sqrt(unit_ms)
 
 
-def lattice_constellation(k: int, beta_rms: float) -> np.ndarray:
-    """The point at each position of the rows x cols grid of ``lattice_gray``:
-    a centered rectangular grid whose mean squared modulus is beta_rms^2.
-    Rows run along the imaginary axis, columns along the real axis."""
+def lattice_constellation(k: int, beta_rms: float,
+                          labels: np.ndarray) -> np.ndarray:
+    """The point of each label in [0, 2^k) on a centered grid of mean squared
+    modulus beta_rms^2 (``lattice_gray``): the Gray positions of the label's
+    high ceil(k/2) and low floor(k/2) bits give its row, along the imaginary
+    axis, and its column, along the real axis."""
     rows, cols, spacing = _lattice_grid(k, beta_rms)
-    x = (np.arange(cols) - (cols - 1) / 2.0) * spacing
-    y = ((rows - 1) / 2.0 - np.arange(rows)[:, None]) * spacing
+    x = (gray_position(labels & (cols - 1)) - (cols - 1) / 2.0) * spacing
+    y = ((rows - 1) / 2.0 - gray_position(labels >> k // 2)) * spacing
     return x + 1j * y
 
 
@@ -74,13 +74,12 @@ def _signal_amplitude(m: float, k: int, mu: float) -> float:
     return math.sqrt(mu / (m / k))
 
 
-# family -> (labels by position, points by position)
-_MODULATIONS = {"ring": (ring_gray, ring_constellation),
-                "lattice": (lattice_gray, lattice_constellation)}
+_MODULATIONS = {"ring": ring_constellation, "lattice": lattice_constellation}
 
 
-def _label_points(family: str, k: int, m: int, mu: float) -> np.ndarray:
-    """The point of each label 0, ..., 2^k - 1 for a codeword of m bits.
+def _label_points(family: str, k: int, m: int, mu: float,
+                  labels: np.ndarray) -> np.ndarray:
+    """The point of each label for a codeword of m bits.
 
     The per-signal amplitude is the ring's radius and the lattice's rms
     modulus, so the total mean photon number is mu on the ring and mu
@@ -89,10 +88,7 @@ def _label_points(family: str, k: int, m: int, mu: float) -> np.ndarray:
     if family not in _MODULATIONS:
         raise ValueError(f"unsupported family {family!r}; the encoder "
                          f"knows {sorted(_MODULATIONS)}")
-    gray, constellation = _MODULATIONS[family]
-    by_label = np.empty(1 << k, dtype=complex)
-    by_label[gray(k)] = constellation(k, _signal_amplitude(m, k, mu))
-    return by_label
+    return _MODULATIONS[family](k, _signal_amplitude(m, k, mu), labels)
 
 
 def _signal_labels(codeword, k: int) -> np.ndarray:
@@ -113,8 +109,8 @@ def _signal_labels(codeword, k: int) -> np.ndarray:
 def encode(codeword: np.ndarray, family: str, k: int, mu: float) -> np.ndarray:
     """Amplitude sequence of the ring or lattice protocol for one codeword:
     each signal's point by its label (``_label_points``)."""
-    points = _label_points(family, k, np.size(codeword), mu)
-    return points[_signal_labels(codeword, k)]
+    return _label_points(family, k, np.size(codeword), mu,
+                         _signal_labels(codeword, k))
 
 
 def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:

@@ -22,8 +22,7 @@ from .analysis import (_AMPLITUDE_RTOL, _AMPLITUDE_XTOL, IDEAL_NOISE,
                        solve_amplitude, solve_repetition,
                        worst_case_error_with_threshold)
 from .codes import MAX_GRAY_BITS, binary_entropy, gv_binary_rate
-from .constellations import (_signal_amplitude, lattice_mu_range,
-                             ring_constellation)
+from .constellations import _signal_amplitude, lattice_mu_range
 
 __all__ = [
     "LeakageBound",
@@ -133,7 +132,7 @@ def _ring_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     change."""
     two_k = 1 << k
     j = np.arange(two_k)
-    omega_less_one = ring_constellation(k, 1.0) - 1.0
+    omega_less_one = np.exp(2j * np.pi * j / two_k) - 1.0
     phases = np.exp(-2j * np.pi * np.outer(j, j) / two_k)
     phases = phases.reshape(-1, min(32, two_k), two_k)
     omega_less_one.flags.writeable = False

@@ -111,16 +111,16 @@ def _click_profile(plan: TrialPlan) -> tuple[np.ndarray, np.ndarray]:
     rounded to 15 decimals and ascending, and how many signals have each.
 
     A signal's probability depends only on its (label_x, label_y) pair, so
-    it is computed once per distinct pair on ``encode``'s point-by-label
-    table, and pairs whose rounded probabilities coincide merge.
+    it is computed once per distinct pair on ``encode``'s points of the
+    pair's labels, and pairs whose rounded probabilities coincide merge.
     """
     p = plan.protocol
-    points = _label_points(p.family, p.k, np.size(plan.input_x), p.mu)
     pairs, per_pair = np.unique(_signal_labels(plan.input_x, p.k) << p.k
                                 | _signal_labels(plan.input_y, p.k),
                                 return_counts=True)
-    probs = click_probs(points[pairs >> p.k],
-                        points[pairs & ((1 << p.k) - 1)], plan.noise)
+    points = _label_points(p.family, p.k, np.size(plan.input_x), p.mu,
+                           np.stack((pairs >> p.k, pairs & ((1 << p.k) - 1))))
+    probs = click_probs(*points, plan.noise)
     uniq, which = np.unique(np.round(probs, 15), return_inverse=True)
     counts = np.zeros(uniq.size, dtype=per_pair.dtype)
     np.add.at(counts, which, per_pair)

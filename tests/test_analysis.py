@@ -24,7 +24,7 @@ from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
                           solve_amplitude, solve_repetition,
                           worst_case_error_with_threshold)
 from qfp.codes import (_signal_blocks, gv_binary_rate, gv_qary_rate,
-                       worst_case_pair)
+                       ring_gray, worst_case_pair)
 from qfp.constellations import _signal_amplitude, encode, ring_constellation
 
 
@@ -131,7 +131,7 @@ class TestRingError:
 
     def test_integer_step_matches_pair_step(self):
         k, beta = 3, 0.8
-        points = ring_constellation(k, beta)
+        points = ring_constellation(k, beta, ring_gray(k))
         for steps in range(1, (1 << (k - 1)) + 1):
             delta = steps / k
             err = ring_worst_case_error(k, beta ** 2, delta)
@@ -152,7 +152,7 @@ class TestClickModel:
         assert p_E == 0.0
         kd = k * delta
         lo, frac = math.floor(kd), k * delta - math.floor(kd)
-        points = ring_constellation(k, beta)
+        points = ring_constellation(k, beta, ring_gray(k))
         expect = ((1.0 - frac) * (1.0 - no_click_prob(points[0], points[lo]))
                   + frac * (1.0 - no_click_prob(points[0], points[lo + 1])))
         assert p_D == pytest.approx(expect, rel=1e-12)
@@ -676,6 +676,24 @@ class TestSolveAmplitude:
                                                      rel=1e-6)
         with pytest.raises(InfeasibleError, match="p_inf"):
             solve_amplitude(k, m, delta, floor * (1 - 1e-6), noise)
+
+    def test_zero_visibility_is_named_before_bracketing(self, monkeypatch):
+        # p_D == p_E at visibility 0, so every threshold errs with
+        # probability at least 1/2 and no amplitude is tried
+        seen = []
+        monkeypatch.setattr(analysis, "worst_case_error_with_threshold",
+                            lambda *args: seen.append(args))
+        for noise in (NoiseModel(visibility=0.0),
+                      NoiseModel(eta=0.3, p_dark=7.3e-11, visibility=0.0)):
+            with pytest.raises(InfeasibleError, match="at visibility 0,"):
+                solve_amplitude(1, 1000, 0.25, 0.49, noise)
+        assert seen == []
+
+    def test_zero_visibility_attains_half_and_above(self):
+        noise = NoiseModel(visibility=0.0)
+        mu = solve_amplitude(1, 1000, 0.25, 0.6, noise)
+        res = worst_case_error_with_threshold(1, 1000, mu, 0.25, noise)
+        assert res.worst_case_error == pytest.approx(0.6, rel=1e-6)
 
     def test_click_cap_needs_visibility_one(self):
         # below visibility 1 every signal clicks at high amplitude, so the

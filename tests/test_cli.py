@@ -316,16 +316,21 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "No such option" in result.output
 
-    @pytest.mark.parametrize("args", [
-        ["--p-dark", "0.9"],
-        ["--noise", "paper-exp", "--visibility", "0"],
-    ])
-    def test_infeasible_amplitude_is_one_error_line(self, args):
+    @pytest.mark.parametrize("args,reason", [
+        (["--p-dark", "0.9"],
+         "below mu cap 10000000.0 (dark counts too strong)"),
+        (["--noise", "paper-exp", "--visibility", "0"],
+         "at visibility 0, where equal and different inputs click alike"),
+        (["--visibility", "0.01"],
+         "below mu cap 10000000.0 (visibility 0.01 too low)"),
+    ], ids=["args0", "args1", "args2"])
+    def test_infeasible_amplitude_is_one_error_line(self, args, reason):
+        # the error names the noise that is present: no dark counts at
+        # --visibility alone
         result = CliRunner().invoke(main, ["simulate", *args, "--trials",
                                            "10"])
         assert result.exit_code == 1
-        assert result.output == ("Error: error 0.01 unattainable below mu cap "
-                                 "10000000.0 (dark counts too strong)\n")
+        assert result.output == f"Error: error 0.01 unattainable {reason}\n"
         assert not isinstance(result.exception, InfeasibleError)
 
     def test_no_light_still_needs_one_click(self):
@@ -628,13 +633,20 @@ def test_import_leaves_out_scipy_optimize_and_sparse():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
-def test_lattice_solve_builds_no_2_to_the_k_grid():
+@pytest.mark.parametrize("args", [
+    ["solve", "--family", "lattice", "--k", "24"],
+    ["simulate", "--k", "24", "--m", "1000", "--trials", "1000"],
+], ids=["solve-lattice", "simulate"])
+def test_lattice_solve_builds_no_2_to_the_k_grid(args):
     """The lattice's photon range is the grid's closed form, so a k = 24
-    solve stays small; building the 2^24 points took 1.1 GiB.  The child's
-    own peak is VmHWM: its ru_maxrss starts at this process's size."""
+    solve stays small; building the 2^24 points took 1.1 GiB.  The encoder
+    computes only the points of the labels a codeword holds, so a k = 24
+    simulate does too; its 2^24-entry tables peaked at 697 MiB.  The
+    child's own peak is VmHWM: its ru_maxrss starts at this process's
+    size."""
     code = ("from click.testing import CliRunner\n"
             "from qfp.cli import main\n"
-            "args = ['solve', '--family', 'lattice', '--k', '24']\n"
+            f"args = {args!r}\n"
             "assert CliRunner().invoke(main, args).exit_code == 0\n"
             "print(*[line.split()[1] for line in open('/proc/self/status')\n"
             "        if line.startswith('VmHWM:')])")

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import checks
-from qfp.codes import (_signal_blocks, binary_entropy, gv_binary_length,
-                       gv_binary_rate, gv_qary_rate, lattice_gray, ring_gray,
-                       worst_case_pair)
+from qfp.codes import (MAX_GRAY_BITS, _signal_blocks, binary_entropy,
+                       gray_position, gv_binary_length, gv_binary_rate,
+                       gv_qary_rate, lattice_gray, ring_gray, worst_case_pair)
 
 
 class TestBinaryEntropy:
@@ -92,6 +92,19 @@ class TestLatticeGray:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_shape(self, k):
         assert lattice_gray(k).shape == (1 << ((k + 1) // 2), 1 << (k // 2))
+
+
+class TestGrayPosition:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_inverts_every_label(self, k):
+        pos = np.arange(1 << k)
+        assert np.array_equal(gray_position(pos ^ (pos >> 1)), pos)
+
+    def test_inverts_random_positions_up_to_the_widest_label(self):
+        rng = np.random.default_rng(24)
+        for k in range(1, MAX_GRAY_BITS + 1):
+            pos = np.append(rng.integers(0, 1 << k, 1000), [0, (1 << k) - 1])
+            assert np.array_equal(gray_position(pos ^ (pos >> 1)), pos)
 
 
 class TestWorstCasePair:

@@ -28,7 +28,7 @@ def test_encoder_reads_the_family_arrays(family, k):
     bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
     every = bits.astype(np.uint8).reshape(-1)
     points = getattr(constellations, f"{family}_constellation")(
-        k, _signal_amplitude(every.size, k, mu)).reshape(-1)
+        k, _signal_amplitude(every.size, k, mu), labels)
     assert np.array_equal(encode(every, family, k, mu),
                           points[np.argsort(labels)])
     rng = np.random.default_rng(k)
@@ -45,6 +45,34 @@ def test_encoder_reads_the_family_arrays(family, k):
             assert lo * (1 - 1e-12) <= total <= hi * (1 + 1e-12)
 
 
+def _points_by_position(family, k, beta):
+    """Each family's points in position order, built as the constellations
+    were before they took labels: the oracle for the label-keyed maps."""
+    if family == "ring":
+        return beta * np.exp(2j * np.pi * np.arange(1 << k) / (1 << k))
+    rows, cols, spacing = constellations._lattice_grid(k, beta)
+    x = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+    y = ((rows - 1) / 2.0 - np.arange(rows)[:, None]) * spacing
+    return (x + 1j * y).reshape(-1)
+
+
+@pytest.mark.parametrize("family,k", [("ring", k) for k in range(1, 13)]
+                         + [("lattice", k) for k in range(2, 13)])
+def test_label_maps_equal_the_position_table(family, k):
+    # bit for bit, signed zeros included, over every label and over small
+    # label sets such as the encoder's per-pair calls evaluate
+    gray = getattr(codes, f"{family}_gray")(k).reshape(-1)
+    constellation = getattr(constellations, f"{family}_constellation")
+    rng = np.random.default_rng(k)
+    labels = np.arange(1 << k)
+    for beta in (1e-5, 0.3, 1.7, 40.0):
+        by_label = _points_by_position(family, k, beta)[np.argsort(gray)]
+        for subset in (labels, labels[-1:], rng.integers(0, 1 << k, (2, 3))):
+            assert np.array_equal(
+                constellation(k, beta, subset).view(np.int64),
+                by_label[subset].view(np.int64))
+
+
 @pytest.mark.parametrize("family,codeword,value", [
     ("ring", [0, 2], 2), ("ring", [2, 0], 2), ("lattice", [0, 2, 0, 0], 2),
     ("ring", [-1, 0], -1), ("ring", [256, 0], 256), ("ring", [0, 0.5], 0.5)])
@@ -57,15 +85,16 @@ def test_encode_rejects_non_binary_entries(family, codeword, value):
 
 class TestRingConstellation:
     def test_uniform_modulus(self):
-        points = ring_constellation(3, 1.7)
+        points = ring_constellation(3, 1.7, codes.ring_gray(3))
         assert np.allclose(np.abs(points), 1.7)
 
     def test_first_position_on_real_axis(self):
-        assert ring_constellation(2, 1.0)[0] == pytest.approx(1.0)
+        assert ring_constellation(2, 1.0, codes.ring_gray(2))[0] == \
+            pytest.approx(1.0)
 
     def test_adjacent_labels_adjacent_points(self):
         k = 3
-        points = ring_constellation(k, 1.0)
+        points = ring_constellation(k, 1.0, codes.ring_gray(k))
         step = 2.0 * math.pi / (1 << k)
         for pos in range(1 << k):
             a = points[pos]
@@ -107,11 +136,13 @@ class TestEncodeRing:
 
 class TestLattice:
     def test_rms_normalization(self):
-        ms = np.mean(np.abs(lattice_constellation(4, 1.3)) ** 2)
+        ms = np.mean(np.abs(lattice_constellation(
+            4, 1.3, codes.lattice_gray(4))) ** 2)
         assert ms == pytest.approx(1.3 ** 2, rel=1e-12)
 
     def test_centered(self):
-        assert abs(np.mean(lattice_constellation(5, 1.0))) < 1e-12
+        assert abs(np.mean(lattice_constellation(
+            5, 1.0, codes.lattice_gray(5)))) < 1e-12
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_mu_range_is_the_grid_extremes(self, k):
@@ -123,7 +154,8 @@ class TestLattice:
                 mu = beta * beta * m / k
                 lo, hi = lattice_mu_range(k, m, mu)
                 intensities = np.abs(lattice_constellation(
-                    k, _signal_amplitude(m, k, mu))) ** 2
+                    k, _signal_amplitude(m, k, mu),
+                    codes.lattice_gray(k))) ** 2
                 assert lo == pytest.approx(n_signals * intensities.min(),
                                            rel=2e-15, abs=0.0)
                 assert hi == pytest.approx(n_signals * intensities.max(),
@@ -133,7 +165,7 @@ class TestLattice:
         with pytest.raises(ValueError):
             lattice_mu_range(1, 100, 1.0)
         with pytest.raises(ValueError):
-            lattice_constellation(25, 1.0)
+            lattice_constellation(25, 1.0, np.zeros(1, dtype=np.int64))
 
     def test_mu_range_brackets_average(self):
         k, m, mu = 4, 120, 9.0
