@@ -503,18 +503,14 @@ def optimal_measurement_error_lb(overlap: float) -> float:
     return 2.0 * c2 / (1.0 + c2)
 
 
-def ed_estimate(clicks_dark: np.ndarray, clicks_light: np.ndarray,
+def ed_estimate(difference: float | np.ndarray,
                 alpha: complex) -> float | np.ndarray:
-    """Squared-distance estimate 2 - (N_light - N_dark)/|alpha|^2 from total
-    click counts.
+    """Squared-distance estimate 2 - D/|alpha|^2 from the click difference
+    D = N_light - N_dark, a scalar or an array of them.
 
-    The totals sum the last axis (the modes): a 1-D pair of click vectors
-    gives one estimate, a (trials, modes) pair one per trial.  Uses
-    clicks as photon-count proxies, so it is asymptotically unbiased only in
-    the weak-amplitude limit.
+    Uses clicks as photon-count proxies, so it is asymptotically unbiased
+    only in the weak-amplitude limit.
     """
     if abs(alpha) == 0.0:
         raise ValueError("alpha must be nonzero")
-    n_dark = np.sum(clicks_dark, axis=-1)
-    n_light = np.sum(clicks_light, axis=-1)
-    return 2.0 - (n_light - n_dark) / abs(alpha) ** 2
+    return 2.0 - difference / abs(alpha) ** 2

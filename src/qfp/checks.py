@@ -94,13 +94,16 @@ def projector_violations(rng: np.random.Generator, ensembles: int,
 
 def ring_gray_break(ks) -> tuple[int, int] | None:
     """First (k, position) whose ring neighbour, wrap-around included,
-    carries a label more than one bit away; None when every k holds."""
+    carries a label more than one bit away, or whose label
+    ``codes.gray_position`` (the map the encoder runs) does not place back
+    at that position; None when every k holds."""
     for k in ks:
-        labels = codes.ring_gray(k)
+        labels = codes.ring_gray(k).tolist()
+        placed = codes.gray_position(labels).tolist()
         size = 1 << k
         for pos in range(size):
-            a, b = int(labels[pos]), int(labels[(pos + 1) % size])
-            if bin(a ^ b).count("1") != 1:
+            a, b = labels[pos], labels[(pos + 1) % size]
+            if bin(a ^ b).count("1") != 1 or placed[pos] != pos:
                 return k, pos
     return None
 
@@ -133,7 +136,7 @@ def _gray_suite() -> tuple[bool, str]:
     broken = ring_gray_break(range(1, 13))
     if broken is None:
         return True, "ring adjacency holds for k <= 12"
-    return False, "ring adjacency broken at k={}, pos={}".format(*broken)
+    return False, "ring Gray code broken at k={}, pos={}".format(*broken)
 
 
 # qfp verify: each suite's check on its fixed sample, the bound the measured

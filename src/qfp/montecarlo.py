@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import NoiseModel, click_probs, ed_estimate
 from .constellations import (ProtocolInstance, _label_points, _signal_labels,
                              encode, encode_ed)
-from .leakage import _TAIL_MASS, _count_law_size  # noqa: F401
+from .leakage import _count_law_size
 
 __all__ = [
     "TrialPlan",
@@ -155,9 +155,9 @@ def _click_total_pmf(p: np.ndarray) -> np.ndarray:
     Math. Stat. 27, 1956).
 
     The pmf keeps ``_count_law_size`` entries, so it drops at most
-    ``_TAIL_MASS``.  Modes merge pairwise, level by level, each merge one
-    convolution of two columns cut at that length, so every term is a
-    product of probabilities (nothing cancels) and the loops run over
+    ``leakage._TAIL_MASS``.  Modes merge pairwise, level by level, each
+    merge one convolution of two columns cut at that length, so every term
+    is a product of probabilities (nothing cancels) and the loops run over
     counts, never over modes.  The cut costs the kept entries nothing: a
     convolution's first entries read only the first entries of its factors.
     """
@@ -215,17 +215,15 @@ def simulate_ed(plan: TrialPlan) -> EdResult:
     estimates = np.empty(plan.trials)
     for start, rows in _blocks(plan.trials, block_rows(1)):
         pick = np.searchsorted(cdf, rng.random(rows), side="right")
-        totals = d[np.minimum(pick, d.size - 1), None]
         estimates[start:start + rows] = ed_estimate(
-            np.zeros_like(totals), totals, protocol.alpha)
+            d[np.minimum(pick, d.size - 1)], protocol.alpha)
     mean_d = pmf @ d
     alpha2 = abs(protocol.alpha) ** 2
     return EdResult(
         mean_estimate=float(estimates.mean()),
         std_error=float(estimates.std(ddof=1) / math.sqrt(plan.trials)),
         runs=plan.trials,
-        predicted_mean=float(ed_estimate(np.zeros(1), np.array([mean_d]),
-                                         protocol.alpha)),
+        predicted_mean=float(ed_estimate(mean_d, protocol.alpha)),
         predicted_std_error=float(math.sqrt(pmf @ (d - mean_d) ** 2)
                                   / (alpha2 * math.sqrt(plan.trials))),
     )

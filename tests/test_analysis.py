@@ -732,6 +732,8 @@ class TestMeasurementBound:
 
 class TestEdEstimator:
     def test_arithmetic(self):
-        dark = np.array([1, 0, 1])
-        light = np.array([1, 1, 1])
-        assert ed_estimate(dark, light, 1.0) == pytest.approx(1.0)
+        # dark clicks [1, 0, 1] and light clicks [1, 1, 1]: D = 3 - 2 = 1
+        assert ed_estimate(1, 1.0) == pytest.approx(1.0)
+        estimates = ed_estimate(np.array([1, 0, 4, -2]), 2.0)
+        assert estimates.shape == (4,)
+        assert np.allclose(estimates, [1.75, 2.0, 1.0, 2.5])

@@ -43,6 +43,9 @@ def _projector():
                  lambda lb: lb / 2, id="projector-below-c2"),
     pytest.param(lambda: int(checks.ring_gray_break(range(2, 5)) is not None),
                  1, codes, "ring_gray", _swap_two_labels, id="ring-gray"),
+    pytest.param(lambda: int(checks.ring_gray_break(range(2, 5)) is not None),
+                 1, codes, "gray_position", _swap_two_labels,
+                 id="gray-position"),
     pytest.param(lambda: checks.qary_violations((2,), 1e-4, 10), 1,
                  analysis, "binary_entropy", lambda h: h + 1e-3, id="qary"),
 ])

@@ -615,20 +615,17 @@ def test_import_loads_only_numpy_and_the_tail_kernels():
         "qfp.leakage", "qfp.montecarlo", "qfp.oracle"]
 
 
-def test_import_leaves_out_scipy_stats():
-    """The tail kernels call scipy.special directly; importing the CLI must
-    not pull in scipy.stats (about 0.5 s and 20 MiB)."""
-    code = "import sys, qfp.cli; print('scipy.stats' in sys.modules)"
-    assert _fresh_stdout(code) == "False"
-
-
-def test_import_leaves_out_scipy_optimize_and_sparse():
-    """The amplitude solver's root finder is a port of scipy's brentq, so
-    importing the CLI must not load scipy.optimize, nor scipy.sparse,
-    which scipy.optimize imports."""
+def test_import_leaves_out_heavy_scipy_subpackages():
+    """Importing the CLI loads nothing under scipy.stats (about 0.5 s and
+    20 MiB; the tail kernels call scipy.special directly), scipy.optimize
+    (the amplitude solver's root finder is a port of scipy's brentq),
+    scipy.sparse, which scipy.optimize imports, or scipy.linalg (only the
+    oracle's beamsplitter blocks call its expm, imported where it is
+    called)."""
     code = ("import sys, qfp.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], "
-            "['scipy', 'sparse'])))")
+            "if m.split('.')[:2] in (['scipy', 'stats'], "
+            "['scipy', 'optimize'], ['scipy', 'sparse'], "
+            "['scipy', 'linalg'])))")
     assert _fresh_stdout(code) == "[]"
 
 
@@ -654,12 +651,6 @@ def test_lattice_solve_builds_no_2_to_the_k_grid(args):
 
 
 _LOADS_LINALG = "print('scipy.linalg' in sys.modules)"
-
-
-def test_import_leaves_out_scipy_linalg():
-    """Only the oracle's beamsplitter blocks call scipy.linalg.expm, and it
-    imports expm where it calls it."""
-    assert _fresh_stdout(f"import sys, qfp.cli; {_LOADS_LINALG}") == "False"
 
 
 def test_commands_leave_out_scipy_linalg():
