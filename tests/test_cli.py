@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -615,18 +616,40 @@ def test_import_loads_only_numpy_and_the_tail_kernels():
         "qfp.leakage", "qfp.montecarlo", "qfp.oracle"]
 
 
-def test_import_leaves_out_heavy_scipy_subpackages():
-    """Importing the CLI loads nothing under scipy.stats (about 0.5 s and
-    20 MiB; the tail kernels call scipy.special directly), scipy.optimize
-    (the amplitude solver's root finder is a port of scipy's brentq),
-    scipy.sparse, which scipy.optimize imports, or scipy.linalg (only the
-    oracle's beamsplitter blocks call its expm, imported where it is
-    called)."""
-    code = ("import sys, qfp.cli; print(sorted(m for m in sys.modules "
+@functools.cache
+def _heavy_scipy_after_cli_import():
+    """(subpackage, submodule) pairs of every module under scipy.stats,
+    scipy.optimize, scipy.sparse or scipy.linalg that ``import qfp.cli``
+    loads; one fresh interpreter serves the three probes below."""
+    code = ("import sys, qfp.cli; print(*sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], "
             "['scipy', 'optimize'], ['scipy', 'sparse'], "
             "['scipy', 'linalg'])))")
-    assert _fresh_stdout(code) == "[]"
+    return [(m.split(".")[1], m) for m in _fresh_stdout(code).split()]
+
+
+def _loaded_under(*subpackages):
+    return [m for sub, m in _heavy_scipy_after_cli_import()
+            if sub in subpackages]
+
+
+def test_import_leaves_out_scipy_stats():
+    """The tail kernels call scipy.special directly; importing the CLI must
+    not pull in scipy.stats (about 0.5 s and 20 MiB)."""
+    assert _loaded_under("stats") == []
+
+
+def test_import_leaves_out_scipy_optimize_and_sparse():
+    """The amplitude solver's root finder is a port of scipy's brentq, so
+    importing the CLI must not load scipy.optimize, nor scipy.sparse,
+    which scipy.optimize imports."""
+    assert _loaded_under("optimize", "sparse") == []
+
+
+def test_import_leaves_out_scipy_linalg():
+    """Only the oracle's beamsplitter blocks call scipy.linalg.expm, and it
+    imports expm where it calls it."""
+    assert _loaded_under("linalg") == []
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
