@@ -1,5 +1,12 @@
-"""Closed-form error probabilities, parameter solvers, and the experimental
-binomial click model.
+"""Closed-form error probabilities, parameter solvers, the experimental
+binomial click model, and the count laws.
+
+The count laws are the binomial tails below, the Poisson photon-number law
+(``_poisson_pmf``) with its Chernoff tail bound and typical-window mass
+(``_log_poisson_tail_bound``, ``_typical_tail``), and the Poisson-binomial
+click total and click difference of independent modes
+(``_click_total_pmf``, ``_difference_law``).  Every truncated law keeps
+``_count_law_size`` entries, so it drops at most ``_TAIL_MASS``.
 
 All probabilities that can underflow (binomial tails with per-signal click
 probabilities down to ~1e-11 over ~1e6 signals) are returned in log space.
@@ -220,10 +227,11 @@ def experimental_click_probs(k: int, beta_k: float, delta: float, p_dark: float,
     p_signal = ((1.0 - frac) * -math.expm1(-b2 * (1.0 - visibility * cos_lo))
                 + frac * -math.expm1(-b2 * (1.0 - visibility * cos_hi)))
     p_equal = -math.expm1(-b2 * (1.0 - visibility))
+    p_E = _with_dark_counts(p_equal, p_dark)
     # each term is >= p_equal, as cos <= 1; at visibility 0 both equal it,
-    # and rounding must not leave their mixture below it
-    p_signal = max(p_signal, p_equal)
-    return _with_dark_counts(p_signal, p_dark), _with_dark_counts(p_equal, p_dark)
+    # and rounding, of their mixture or of the dark counts, must not leave
+    # p_D below p_E
+    return max(_with_dark_counts(p_signal, p_dark), p_E), p_E
 
 
 def _log_tail(prob: float) -> float:
@@ -248,6 +256,99 @@ def log_binom_cdf(t: int, m: int, p: float) -> float:
     if t > m:
         return 0.0
     return _log_tail(_binom_cdf(t - 1, m, p))
+
+
+_TAIL_MASS = 1e-18  # a count law's dropped mass: far below a uniform's 2^-53
+
+
+def _count_law_size(mu: float, cap: int | None = None) -> int:
+    """Entries kept of a count law of mean mu: up to the first t > mu whose
+    Chernoff bound e^-mu (e mu / t)^t on P(N >= t), valid for Poisson
+    counts and sums of Bernoulli trials, is below ``_TAIL_MASS``."""
+    return _first_true(lambda t: t > mu and _log_poisson_tail_bound(
+        mu, t - mu) < math.log(_TAIL_MASS), cap=cap)
+
+
+def _poisson_pmf(mu: float) -> np.ndarray:
+    """P(N = h) of a Poisson(mu) photon number for h below
+    ``_count_law_size(mu)``, each term e^-mu prod_{i <= h} (mu / i) summed
+    in log space (every factor is positive, so nothing cancels)."""
+    log_ratios = np.log(mu / np.arange(1, _count_law_size(mu)))
+    return np.exp(-mu + np.concatenate(([0.0], np.cumsum(log_ratios))))
+
+
+def _log_poisson_tail_bound(mu: float, shift: float) -> float:
+    """log of the Chernoff bound e^{-mu} (e mu / (mu + shift))^(mu + shift).
+
+    With s = mu + shift and x = shift / s that is s (x + log1p(-x)) up to
+    |x| = 1/2 and s (x - log(s / mu)) past it.  x + log1p(-x) loses about
+    log2(2 / |x|) bits, so for |x| <= 0.05 it is the series
+    -sum_{j >= 2} x^j / j, summed by Horner's rule from 1/13 (at |x| <= 0.05
+    the first term left out, x^14 / 14, is below 2^-53 x^2 / 2).  s / mu >=
+    2^-53 never underflows; it overflows only where mu < 2^-1024 s, whose
+    exponent, below -708 s, comes out -inf.  A Chernoff exponent is <= 0,
+    and round-off must not lift it above."""
+    s = mu + shift
+    if s <= 0.0:
+        return 0.0
+    if mu <= 0.0:
+        return -math.inf
+    x = shift / s
+    if abs(x) <= 0.05:
+        acc = ((((((((((x * (1 / 13) + 1 / 12) * x + 1 / 11) * x + 1 / 10)
+                      * x + 1 / 9) * x + 1 / 8) * x + 1 / 7) * x + 1 / 6)
+                   * x + 1 / 5) * x + 1 / 4) * x + 1 / 3) * x + 1 / 2
+        return -s * x * x * acc
+    return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
+                              else -math.log(s / mu))))
+
+
+def _typical_tail(mu_min: float, mu_max: float, delta: int) -> float:
+    """Upper bound on the probability mass outside the typical photon-number
+    window [mu_min - delta, mu_max + delta]."""
+    upper = math.exp(_log_poisson_tail_bound(mu_max, delta))
+    lower = 0.0
+    if mu_min - delta > 0.0:
+        lower = math.exp(_log_poisson_tail_bound(mu_min, -delta))
+    return lower + upper
+
+
+def _click_total_pmf(p: np.ndarray) -> np.ndarray:
+    """P(N = t), t = 0, 1, ..., of the clicks N of independent modes that
+    click with probabilities p: the Poisson-binomial law (Hoeffding, Ann.
+    Math. Stat. 27, 1956).
+
+    The pmf keeps ``_count_law_size`` entries, so it drops at most
+    ``_TAIL_MASS``.  Modes merge pairwise, level by level, each
+    merge one convolution of two columns cut at that length, so every term
+    is a product of probabilities (nothing cancels) and the loops run over
+    counts, never over modes.  The cut costs the kept entries nothing: a
+    convolution's first entries read only the first entries of its factors.
+    """
+    size = _count_law_size(float(p.sum()), cap=p.size + 1)
+    cols = np.stack([1.0 - p, p])  # entry (t, j): P(mode j clicks t times)
+    while cols.shape[1] > 1:
+        width, modes = cols.shape
+        half = modes // 2
+        a, b = cols[:, :half], cols[:, half:2 * half]
+        merged = np.zeros((min(2 * width - 1, size), modes - half))
+        for t in range(min(width, size)):
+            n = min(width, merged.shape[0] - t)
+            merged[t:t + n, :half] += a[t] * b[:n]
+        if modes % 2:  # the odd mode out passes to the next level as it is,
+            # cut like the merged columns
+            merged[:width, half] = cols[:merged.shape[0], -1]
+        cols = merged
+    return cols[:size, 0]
+
+
+def _difference_law(p_click: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values d and probabilities of D = N_light - N_dark, for the
+    per-mode click probabilities of the dark port (row 0) and the light
+    port (row 1): one convolution of the two ports' click-total laws."""
+    dark, light = (_click_total_pmf(p) for p in p_click)
+    return (np.arange(dark.size + light.size - 1) - (dark.size - 1),
+            np.convolve(light, dark[::-1]))
 
 
 def optimal_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
@@ -393,6 +494,16 @@ def _c_div(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
+def _log_over(x: float, epsilon: float) -> float:
+    """log(x / epsilon) for x > 0, taken as log(x) - log(epsilon) only where
+    x / epsilon overflows (a subnormal epsilon), so every normal epsilon
+    keeps the bits of log(x / epsilon)."""
+    ratio = x / epsilon
+    if ratio < math.inf:
+        return math.log(ratio)
+    return math.log(x) - math.log(epsilon)
+
+
 _MU_CAP = 1e7
 # _brentq's tolerances in solve_amplitude: its root may sit up to
 # xtol + rtol |x| below the crossing, which the delta optimizer's floor
@@ -414,7 +525,9 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     click probability p_D is capped below frac + p_dark - frac p_dark
     (frac = k*delta) whatever the amplitude; if even the cap leaves no
     click more likely than epsilon, ``InfeasibleError`` names the cap
-    before any bracketing, and so does visibility 0 at epsilon < 1/2.
+    before any bracketing, and so does visibility 0 at epsilon < 1/2.  A
+    launched value that overflows, as at a subnormal eta, raises
+    ``InfeasibleError`` too.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -423,9 +536,9 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
     g = ring_error_exponent(k, delta)
     if g <= 0.0:
         raise InfeasibleError(f"zero error exponent at k={k}, delta={delta}")
-    mu_ideal = math.log(1.0 / epsilon) / g
+    mu_ideal = _log_over(1.0, epsilon) / g
     if noise.p_dark == 0.0 and noise.visibility == 1.0:
-        return mu_ideal / noise.eta
+        return _launched(mu_ideal, noise.eta)
 
     if noise.visibility == 0.0 and epsilon < 0.5:
         # p_D == p_E, so every threshold errs with probability >= 1/2
@@ -473,7 +586,17 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
         # excess(hi) <= 0, and excess(lo) >= 0 unless lo reached the floor
         # unevaluated: there dark counts alone keep the error below epsilon
         return 0.0
-    return mu_det / noise.eta
+    return _launched(mu_det, noise.eta)
+
+
+def _launched(mu_det: float, eta: float) -> float:
+    """The launched photon number mu_det / eta; one that overflows, as at a
+    subnormal eta, is infeasible."""
+    mu = mu_det / eta
+    if mu == math.inf:
+        raise InfeasibleError(f"launched photon number {mu_det:g} / eta "
+                              f"overflows at eta = {eta:g}")
+    return mu
 
 
 _DELTA_FLOOR = 1e-12

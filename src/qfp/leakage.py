@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (_AMPLITUDE_RTOL, _AMPLITUDE_XTOL, IDEAL_NOISE,
-                       InfeasibleError, NoiseModel, _first_true,
+                       InfeasibleError, NoiseModel, _first_true, _log_over,
+                       _log_poisson_tail_bound, _poisson_pmf, _typical_tail,
                        interp_worst_case_error, ring_error_exponent,
                        solve_amplitude, solve_repetition,
                        worst_case_error_with_threshold)
@@ -167,25 +168,6 @@ def lambda_ring(k: int, beta_k: float) -> np.ndarray:
     return np.maximum(vec, 0.0)
 
 
-_TAIL_MASS = 1e-18  # a count law's dropped mass: far below a uniform's 2^-53
-
-
-def _count_law_size(mu: float, cap: int | None = None) -> int:
-    """Entries kept of a count law of mean mu: up to the first t > mu whose
-    Chernoff bound e^-mu (e mu / t)^t on P(N >= t), valid for Poisson
-    counts and sums of Bernoulli trials, is below ``_TAIL_MASS``."""
-    return _first_true(lambda t: t > mu and _log_poisson_tail_bound(
-        mu, t - mu) < math.log(_TAIL_MASS), cap=cap)
-
-
-def _poisson_pmf(mu: float) -> np.ndarray:
-    """P(N = h) of a Poisson(mu) photon number for h below
-    ``_count_law_size(mu)``, each term e^-mu prod_{i <= h} (mu / i) summed
-    in log space (every factor is positive, so nothing cancels)."""
-    log_ratios = np.log(mu / np.arange(1, _count_law_size(mu)))
-    return np.exp(-mu + np.concatenate(([0.0], np.cumsum(log_ratios))))
-
-
 def lambda_ring_series(k: int, beta_k: float) -> np.ndarray:
     """lambda_ring as the Poisson series folded mod 2^k, for cross-checks."""
     pmf = _poisson_pmf(abs(beta_k) ** 2)
@@ -200,42 +182,6 @@ def qil_ring(k: int, m: float, beta_k: float) -> LeakageBound:
     return LeakageBound(bits=bits, method="schur_horn",
                         subterms={"per_signal_entropy": per_signal,
                                   "signals": m / k})
-
-
-def _log_poisson_tail_bound(mu: float, shift: float) -> float:
-    """log of the Chernoff bound e^{-mu} (e mu / (mu + shift))^(mu + shift).
-
-    With s = mu + shift and x = shift / s that is s (x + log1p(-x)) up to
-    |x| = 1/2 and s (x - log(s / mu)) past it.  x + log1p(-x) loses about
-    log2(2 / |x|) bits, so for |x| <= 0.05 it is the series
-    -sum_{j >= 2} x^j / j, summed by Horner's rule from 1/13 (at |x| <= 0.05
-    the first term left out, x^14 / 14, is below 2^-53 x^2 / 2).  s / mu >=
-    2^-53 never underflows; it overflows only where mu < 2^-1024 s, whose
-    exponent, below -708 s, comes out -inf.  A Chernoff exponent is <= 0,
-    and round-off must not lift it above."""
-    s = mu + shift
-    if s <= 0.0:
-        return 0.0
-    if mu <= 0.0:
-        return -math.inf
-    x = shift / s
-    if abs(x) <= 0.05:
-        acc = ((((((((((x * (1 / 13) + 1 / 12) * x + 1 / 11) * x + 1 / 10)
-                      * x + 1 / 9) * x + 1 / 8) * x + 1 / 7) * x + 1 / 6)
-                   * x + 1 / 5) * x + 1 / 4) * x + 1 / 3) * x + 1 / 2
-        return -s * x * x * acc
-    return min(0.0, s * (x + (math.log1p(-x) if abs(x) <= 0.5
-                              else -math.log(s / mu))))
-
-
-def _typical_tail(mu_min: float, mu_max: float, delta: int) -> float:
-    """Upper bound on the probability mass outside the typical photon-number
-    window [mu_min - delta, mu_max + delta]."""
-    upper = math.exp(_log_poisson_tail_bound(mu_max, delta))
-    lower = 0.0
-    if mu_min - delta > 0.0:
-        lower = math.exp(_log_poisson_tail_bound(mu_min, -delta))
-    return lower + upper
 
 
 def _log2_fock_dim(top: float, width: float, m_k: float) -> float:
@@ -456,7 +402,7 @@ def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
         return -math.inf
     whole = int(round(m))
     c = k * -(-whole // k) / whole
-    mu_det = math.log((1.0 - epsilon) / epsilon) / (g * c)
+    mu_det = _log_over(1.0 - epsilon, epsilon) / (g * c)
     mu_det = max(0.0, (mu_det - _AMPLITUDE_XTOL) / (1.0 + _AMPLITUDE_RTOL))
     return FAMILIES[family].bound(n, k, m, mu_det / noise.eta).bits
 

@@ -10,8 +10,9 @@ distinct click probability of the pair: a signal's probability depends only
 on its (label_x, label_y) pair, so the law is built from the few distinct
 label pairs (2-4 for a worst-case ring pair), not from m per-signal
 amplitudes.  A Euclidean-distance trial is one uniform: its estimator reads
-only the click difference D = N_light - N_dark, whose exact law is built
-once per plan and sampled by inversion.
+only the click difference D = N_light - N_dark, whose exact law
+(``analysis._difference_law``) is built once per plan and sampled by
+inversion.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoiseModel, click_probs, ed_estimate
+from .analysis import (NoiseModel, _difference_law, click_probs,
+                       ed_estimate)
 from .constellations import (ProtocolInstance, _label_points, _signal_labels,
                              encode, encode_ed)
-from .leakage import _count_law_size
 
 __all__ = [
     "TrialPlan",
@@ -147,43 +148,6 @@ def simulate_equality(plan: TrialPlan, d_th: int) -> EqualityResult:
         empirical_error=errors / plan.trials,
         confidence_interval=wilson_interval(errors, plan.trials),
     )
-
-
-def _click_total_pmf(p: np.ndarray) -> np.ndarray:
-    """P(N = t), t = 0, 1, ..., of the clicks N of independent modes that
-    click with probabilities p: the Poisson-binomial law (Hoeffding, Ann.
-    Math. Stat. 27, 1956).
-
-    The pmf keeps ``_count_law_size`` entries, so it drops at most
-    ``leakage._TAIL_MASS``.  Modes merge pairwise, level by level, each
-    merge one convolution of two columns cut at that length, so every term
-    is a product of probabilities (nothing cancels) and the loops run over
-    counts, never over modes.  The cut costs the kept entries nothing: a
-    convolution's first entries read only the first entries of its factors.
-    """
-    size = _count_law_size(float(p.sum()), cap=p.size + 1)
-    cols = np.stack([1.0 - p, p])  # entry (t, j): P(mode j clicks t times)
-    while cols.shape[1] > 1:
-        width, modes = cols.shape
-        half = modes // 2
-        a, b = cols[:, :half], cols[:, half:2 * half]
-        merged = np.zeros((min(2 * width - 1, size), modes - half))
-        for t in range(min(width, size)):
-            n = min(width, merged.shape[0] - t)
-            merged[t:t + n, :half] += a[t] * b[:n]
-        if modes % 2:  # the odd mode out passes to the next level as it is
-            merged[:width, half] = cols[:, -1]
-        cols = merged
-    return cols[:size, 0]
-
-
-def _difference_law(p_click: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values d and probabilities of D = N_light - N_dark, for the
-    per-mode click probabilities of the dark port (row 0) and the light
-    port (row 1): one convolution of the two ports' click-total laws."""
-    dark, light = (_click_total_pmf(p) for p in p_click)
-    return (np.arange(dark.size + light.size - 1) - (dark.size - 1),
-            np.convolve(light, dark[::-1]))
 
 
 def simulate_ed(plan: TrialPlan) -> EdResult:

@@ -188,6 +188,13 @@ class TestClickModel:
                         k, float(beta), float(delta), 7.3e-11, 0.0)
                     assert p_D >= p_E
 
+    def test_strong_dark_counts_keep_p_D_at_least_p_E(self):
+        # the dark counts' own rounding put p_D one ulp below p_E here
+        # (p_E = 0.999999999999, p_D = 0.9999999999989999)
+        p_D, p_E = experimental_click_probs(1, 1.12421e-06, 0.4022307692307692,
+                                            0.999999999999)
+        assert p_D >= p_E == 0.999999999999
+
     def test_reduced_visibility_dark_counts_exact(self):
         # 1 - (1 - p)(1 - p_dark) cancels at p, p_dark ~ 1e-10 (8.3e-8
         # relative); compare with the exact rational sum
@@ -587,6 +594,19 @@ class TestSolveAmplitude:
         mu = solve_amplitude(k, 1000, delta, eps)
         assert mu == pytest.approx(math.log(1.0 / eps) / (2.0 * delta),
                                    rel=1e-12)
+
+    def test_subnormal_epsilon_is_finite(self):
+        # 1/epsilon overflows, so the exponent is -log epsilon
+        g = ring_error_exponent(1, 0.25)
+        assert solve_amplitude(1, 1000, 0.25, 5e-324) == -math.log(5e-324) / g
+        assert solve_amplitude(1, 1000, 0.25, 5e-324, NoiseModel(
+            eta=0.5)) == 2.0 * -math.log(5e-324) / g
+
+    @pytest.mark.parametrize("noise", [NoiseModel(eta=5e-324),
+                                       NoiseModel(eta=5e-324, p_dark=0.1)])
+    def test_overflowing_launch_is_infeasible(self, noise):
+        with pytest.raises(InfeasibleError, match="eta"):
+            solve_amplitude(1, 1000, 0.25, 0.01, noise)
 
     def test_eta_rescales_launch(self):
         mu_ideal = solve_amplitude(1, 1000, 0.25, 0.01)

@@ -432,6 +432,40 @@ class TestEdEstimate:
             0.02760529691967411, rel=1e-12)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@pytest.mark.parametrize("args", [
+    # a law cut to one entry while an odd mode out still had two rows
+    ["ed-estimate", "--dimension", "65", "--alpha2", "1e-30",
+     "--trials", "23"],
+    # 1/epsilon and mu_det/eta overflow at subnormal input
+    ["solve", "--epsilon", "5e-324", "--eta", "0.5"],
+    ["curves", "--preset", "fig3", "--epsilon", "5e-324", "--eta", "0.5"],
+    ["simulate", "--eta", "5e-324", "--trials", "2"],
+    # the dark counts' rounding put p_D one ulp below p_E
+    ["curves", "--preset", "fig3", "--n-points", "2", "--epsilon", "0.0229",
+     "--noise", "ideal", "--p-dark", "0.999999999999"],
+], ids=["ed-cut", "solve-subnormal-eps", "curves-subnormal-eps",
+        "simulate-subnormal-eta", "curves-strong-dark"])
+def test_cli_contract(args):
+    # a result, an infeasibility or a usage error: never a traceback, and
+    # what a success prints is strict JSON or CSV rows of the header's width
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), result.exception
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        if args[0] == "curves":
+            rows = list(csv.reader(io.StringIO(result.output)))
+            assert rows[0] == CSV_COLUMNS
+            assert {len(row) for row in rows[1:]} == {len(CSV_COLUMNS)}
+        else:
+            json.loads(result.output, parse_constant=_reject_constant)
+
+
 class TestBadInput:
     """Out-of-range values stop at the CLI boundary with a usage error
     (exit code 2) instead of a traceback from deep inside the library."""

@@ -1,6 +1,8 @@
 """Each module's ``__all__`` is its export list: every public function and
-class the module defines is on it, and every name on it resolves."""
+class the module defines is on it, and every name on it resolves.  The count
+laws are defined in one module."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -47,3 +49,47 @@ def test_benchmark_layer_rows_resolve():
         if not hasattr(importlib.import_module(f"qfp.{module}"), function))
     assert unresolved == ["constellations.encode_ring",
                           "montecarlo.derive_trial_rng"]
+
+
+COUNT_LAWS = {"_TAIL_MASS", "_count_law_size", "_poisson_pmf",
+              "_log_poisson_tail_bound", "_typical_tail", "_click_total_pmf",
+              "_difference_law", "log_binom_sf", "log_binom_cdf"}
+
+
+def _module_tree(name: str) -> ast.Module:
+    return ast.parse(Path(qfp.__file__).with_name(f"{name}.py").read_text())
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module defines at its top level: functions, classes and
+    assignment targets (imports bind a name but define nothing)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {target.id for target in targets
+                      if isinstance(target, ast.Name)}
+    return names
+
+
+def test_count_laws_defined_only_in_analysis():
+    homes = {name: sorted(module for module in MODULES
+                          if name in _top_level_names(_module_tree(module)))
+             for name in COUNT_LAWS}
+    assert homes == {name: ["analysis"] for name in COUNT_LAWS}
+
+
+def test_montecarlo_imports_nothing_from_leakage():
+    # the modules it imports from, and those it imports whole
+    sources = set()
+    for node in ast.walk(_module_tree("montecarlo")):
+        if isinstance(node, ast.ImportFrom):
+            sources.add(node.module or "")
+            if node.module in (None, "qfp"):  # from . import <module>
+                sources |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            sources |= {alias.name for alias in node.names}
+    assert not [s for s in sources if s.split(".")[-1] == "leakage"], sources

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qfp import leakage
-from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
-                          NoiseModel, _first_true, solve_amplitude)
+from qfp.analysis import (_TAIL_MASS, IDEAL_NOISE, PAPER_EXP_NOISE,
+                          InfeasibleError, NoiseModel, _first_true,
+                          _log_poisson_tail_bound, _poisson_pmf,
+                          _typical_tail, solve_amplitude)
 from qfp.cli import CURVE_PRESETS, n_grid
 from qfp.codes import binary_entropy, gv_binary_rate
 from qfp.constellations import lattice_mu_range
 from qfp.leakage import (_COARSE_GRID_POINTS, _DELTA_LO, LeakageBound,
-                         _coherent_family_qil, _log2_fock_dim,
-                         _log_poisson_tail_bound, _poisson_pmf, _qil_floor,
-                         _typical_tail, asymptotic_bound, classical_reference,
+                         _coherent_family_qil, _log2_fock_dim, _qil_floor,
+                         asymptotic_bound, classical_reference,
                          fannes_audenaert_bound, lambda_interpolation,
                          lambda_ring, lambda_ring_series,
                          optimize_delta_for_qil, qil_interpolation, qil_ring,
@@ -135,7 +136,7 @@ class TestLambdaVectors:
         size = _poisson_pmf(mu).size
         with mpmath.workdps(50):
             dropped = mpmath.gammainc(size, 0, mu, regularized=True)
-        assert 0.0 < dropped <= leakage._TAIL_MASS
+        assert 0.0 < dropped <= _TAIL_MASS
 
     def test_report_ring_filter_entropy_error_at_fig2(self):
         # no assertion: the DFT filter cancels at weak light, and how much

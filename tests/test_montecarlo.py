@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qfp import leakage, montecarlo
+from qfp import analysis, montecarlo
 from qfp.analysis import IDEAL_NOISE, PAPER_EXP_NOISE, NoiseModel, \
     click_probs, ring_worst_case_error, solve_amplitude, \
     worst_case_error_with_threshold
@@ -284,15 +284,15 @@ class TestEdLaw:
         assert p_click.shape[1] <= 10
         dark, light = (_enumerated_pmf(p) for p in p_click)
         for p, exact in zip(p_click, (dark, light)):
-            pmf = montecarlo._click_total_pmf(p)
+            pmf = analysis._click_total_pmf(p)
             assert np.max(np.abs(pmf - exact[:pmf.size])) <= 1e-14
-            assert exact[pmf.size:].sum() <= leakage._TAIL_MASS
+            assert exact[pmf.size:].sum() <= analysis._TAIL_MASS
         # D's law by brute force: every pair of port totals
         modes = p_click.shape[1]
         joint = np.outer(dark, light)  # [n_dark, n_light]
         diff = np.subtract.outer(np.arange(modes + 1), np.arange(modes + 1))
         exact = np.bincount((-diff + modes).ravel(), weights=joint.ravel())
-        d, pmf = montecarlo._difference_law(p_click)
+        d, pmf = analysis._difference_law(p_click)
         assert np.max(np.abs(pmf - exact[d + modes])) <= 1e-14
 
     @pytest.mark.parametrize("n,q", [(128, 0.08), (1000, 0.01),
@@ -301,7 +301,7 @@ class TestEdLaw:
         # equal probabilities make N binomial; mpmath sums its tail term by
         # term until a term is below 1e-60 (the ratio of terms is below 1/2
         # there, so the rest is smaller still)
-        pmf = montecarlo._click_total_pmf(np.full(n, q))
+        pmf = analysis._click_total_pmf(np.full(n, q))
         assert pmf.size < n + 1  # the cut dropped something
         with mpmath.workdps(50):
             q = mpmath.mpf(q)
@@ -312,10 +312,15 @@ class TestEdLaw:
                 dropped += term
                 term *= (n - t) * q / ((t + 1) * (1 - q))
                 t += 1
-        assert 0.0 < dropped <= leakage._TAIL_MASS
+        assert 0.0 < dropped <= analysis._TAIL_MASS
 
     def test_no_light_no_clicks(self):
-        assert montecarlo._click_total_pmf(np.zeros(64)).tolist() == [1.0]
+        assert analysis._click_total_pmf(np.zeros(64)).tolist() == [1.0]
+
+    def test_odd_mode_out_cut_with_its_level(self):
+        # the law keeps one entry, fewer than a level's two rows, and the
+        # odd mode out of 65 is cut like the merged columns
+        assert analysis._click_total_pmf(np.full(65, 1e-32)).tolist() == [1.0]
 
     def test_sampled_difference_matches_its_law(self, monkeypatch):
         # chi-square of the sampled D over the bins the law expects >= 5
@@ -333,7 +338,7 @@ class TestEdLaw:
 
         monkeypatch.setattr(montecarlo, "ed_estimate", spy)
         simulate_ed(plan)
-        d, pmf = montecarlo._difference_law(_ed_click_probs(plan))
+        d, pmf = analysis._difference_law(_ed_click_probs(plan))
         sample = np.concatenate(drawn)
         assert sample.size == plan.trials
         observed = np.bincount(sample - d[0], minlength=d.size)
