@@ -264,7 +264,10 @@ _TAIL_MASS = 1e-18  # a count law's dropped mass: far below a uniform's 2^-53
 def _count_law_size(mu: float, cap: int | None = None) -> int:
     """Entries kept of a count law of mean mu: up to the first t > mu whose
     Chernoff bound e^-mu (e mu / t)^t on P(N >= t), valid for Poisson
-    counts and sums of Bernoulli trials, is below ``_TAIL_MASS``."""
+    counts and sums of Bernoulli trials, is below ``_TAIL_MASS``.  No t
+    exceeds a nan or infinite mu, so a non-finite mu raises ValueError."""
+    if not math.isfinite(mu):
+        raise ValueError(f"a count law needs a finite mean, got {mu}")
     return _first_true(lambda t: t > mu and _log_poisson_tail_bound(
         mu, t - mu) < math.log(_TAIL_MASS), cap=cap)
 
@@ -406,10 +409,6 @@ def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
     return res if res.d_th >= 1 else replace(res, d_th=1)
 
 
-class _SignError(ValueError):
-    """The two ends of a root bracket have function values of one sign."""
-
-
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
             maxiter: int = 100) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
@@ -418,9 +417,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     ``Zeros/brentq.c`` with the same operations in the same order, and the
     checks of its Python wrapper.  It evaluates f at the same points and
     returns the same float.  An end with f == 0 is returned at once; ends of
-    one sign raise ``_SignError`` (a ``ValueError``), a nan value of f raises
-    ``ValueError`` and ``maxiter`` iterations without convergence raise
-    ``RuntimeError``.
+    one sign and a nan value of f raise ``ValueError``, and ``maxiter``
+    iterations without convergence raise ``RuntimeError``.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -442,7 +440,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     if fcur == 0.0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise _SignError("f(a) and f(b) must have different signs")
+        raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if (fpre != 0.0 and fcur != 0.0
@@ -579,14 +577,11 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
             raise InfeasibleError(
                 f"error {epsilon} unattainable below mu cap {_MU_CAP} "
                 f"({', '.join(causes)})")
-    try:
-        mu_det = _brentq(excess, lo, hi, xtol=_AMPLITUDE_XTOL,
-                         rtol=_AMPLITUDE_RTOL)
-    except _SignError:
-        # excess(hi) <= 0, and excess(lo) >= 0 unless lo reached the floor
-        # unevaluated: there dark counts alone keep the error below epsilon
+    if excess(lo) < 0.0 and excess(hi) < 0.0:
+        # lo reached the floor: dark counts alone keep the error below epsilon
         return 0.0
-    return _launched(mu_det, noise.eta)
+    return _launched(_brentq(excess, lo, hi, xtol=_AMPLITUDE_XTOL,
+                             rtol=_AMPLITUDE_RTOL), noise.eta)
 
 
 def _launched(mu_det: float, eta: float) -> float:

@@ -135,7 +135,7 @@ def encode_ed(u: np.ndarray, alpha: complex, variant: str = "real") -> np.ndarra
     if u.ndim != 1 or u.size == 0:
         raise ValueError("u must be a nonempty 1-D vector")
     norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # a nan norm fails too
         raise ValueError(f"u must be a unit vector, got norm {norm}")
     if np.iscomplexobj(u) and np.abs(u.imag).max() > 0:
         raise ValueError("both variants are defined for real entries")

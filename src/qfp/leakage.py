@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (_AMPLITUDE_RTOL, _AMPLITUDE_XTOL, IDEAL_NOISE,
-                       InfeasibleError, NoiseModel, _first_true, _log_over,
-                       _log_poisson_tail_bound, _poisson_pmf, _typical_tail,
-                       interp_worst_case_error, ring_error_exponent,
-                       solve_amplitude, solve_repetition,
+                       InfeasibleError, NoiseModel, _first_true, _launched,
+                       _log_over, _log_poisson_tail_bound, _poisson_pmf,
+                       _typical_tail, interp_worst_case_error,
+                       ring_error_exponent, solve_amplitude, solve_repetition,
                        worst_case_error_with_threshold)
 from .codes import MAX_GRAY_BITS, binary_entropy, gv_binary_rate
 from .constellations import _signal_amplitude, lattice_mu_range
@@ -244,17 +244,17 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
     step = dimension(first + 1) - floor
     start = first - 1 + _first_true(
         lambda j: probe(first - 1 + j)[2] - probe(first + j)[2] <= step)
-    best = None  # (bits, radius, eps', dimension, continuity, h)
+    best = (math.inf,)  # then (bits, radius, eps', dimension, continuity, h)
     for radius in itertools.count(start):
         dim_term = dimension(radius)
-        if best is not None and dim_term >= best[0]:
+        if dim_term >= best[0]:
             break
         eps, gamma, continuity = probed.get(radius) or budget(radius)
-        if best is not None and dim_term + continuity >= best[0]:
+        if dim_term + continuity >= best[0]:
             continue
         entropy = binary_entropy(gamma)
         bits = dim_term + continuity + entropy
-        if best is None or bits < best[0]:
+        if bits < best[0]:
             best = (bits, radius, eps, dim_term, continuity, entropy)
     for radius in range(start - 1, first - 1, -1):
         eps, gamma, continuity = probed.get(radius) or budget(radius)
@@ -391,20 +391,23 @@ def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
     epsilon >= 1/2 dark counts alone can attain epsilon).  H(Lambda) does
     not decrease in beta^2 (a wrapped Poisson(a + b) is a wrapped
     Poisson(a) plus an independent one, and on a group H(X + Y) >= H(X)),
-    so the family's bound at mu_det / eta is below its bound at the solved
-    amplitude.
+    so the family's bound at the launched mu_det / eta is below its bound
+    at the solved amplitude.  Where that launch overflows, the solve's
+    larger one does too, and the floor is inf.
     """
     if (family != "ring" or measurement != "beamsplitter"
             or noise.p_dark == 0.0 or noise.visibility != 1.0):
         return -math.inf
     g = ring_error_exponent(k, delta)
-    if g <= 0.0:
-        return -math.inf
     whole = int(round(m))
     c = k * -(-whole // k) / whole
     mu_det = _log_over(1.0 - epsilon, epsilon) / (g * c)
     mu_det = max(0.0, (mu_det - _AMPLITUDE_XTOL) / (1.0 + _AMPLITUDE_RTOL))
-    return FAMILIES[family].bound(n, k, m, mu_det / noise.eta).bits
+    try:
+        mu = _launched(mu_det, noise.eta)
+    except InfeasibleError:
+        return math.inf
+    return FAMILIES[family].bound(n, k, m, mu).bits
 
 
 def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,

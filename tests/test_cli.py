@@ -127,6 +127,18 @@ class TestSolve:
         assert report["mu_launched"] == 0.0
         assert report["worst_case_error"] < 0.6
 
+    def test_infeasible_report(self):
+        # exit 1 with strict JSON of the inputs and the reason, and no
+        # design point
+        result = _run(["solve", "--visibility", "0"])
+        assert result.exit_code == 1
+        assert json.loads(result.output, parse_constant=_reject_constant) == {
+            "family": "ring", "k": 1, "n": 1000, "delta": 0.25,
+            "epsilon": 0.01,
+            "noise": {"eta": 1.0, "p_dark": 0.0, "visibility": 0.0},
+            "infeasible": "error 0.01 unattainable at visibility 0, where "
+                          "equal and different inputs click alike"}
+
     def test_interpolation_reports_repetitions(self):
         result = _run(["solve", "--family", "interpolation", "--k", "2",
                        "--n", "100", "--delta", "0.25"])
@@ -447,8 +459,11 @@ def _reject_constant(name):
     # the dark counts' rounding put p_D one ulp below p_E
     ["curves", "--preset", "fig3", "--n-points", "2", "--epsilon", "0.0229",
      "--noise", "ideal", "--p-dark", "0.999999999999"],
+    # the delta optimizer's floor launched mu_det / eta = inf
+    ["curves", "--preset", "fig3", "--eta", "5e-324", "--n-points", "1"],
 ], ids=["ed-cut", "solve-subnormal-eps", "curves-subnormal-eps",
-        "simulate-subnormal-eta", "curves-strong-dark"])
+        "simulate-subnormal-eta", "curves-strong-dark",
+        "curves-subnormal-eta"])
 def test_cli_contract(args):
     # a result, an infeasibility or a usage error: never a traceback, and
     # what a success prints is strict JSON or CSV rows of the header's width

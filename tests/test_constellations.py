@@ -216,6 +216,11 @@ class TestEncodeEd:
         with pytest.raises(ValueError):
             encode_ed(np.ones(4), 1.0)
 
+    def test_rejects_nan(self):
+        # a nan norm passes every comparison that reads "too far from 1"
+        with pytest.raises(ValueError, match="unit vector"):
+            encode_ed(np.array([math.nan, 0.0]), 1.0)
+
 
 class TestInterpolation:
     @given(st.floats(min_value=0.0, max_value=1.0))

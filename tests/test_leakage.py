@@ -113,6 +113,15 @@ class TestLambdaVectors:
     def test_poisson_pmf_of_the_vacuum(self):
         assert _poisson_pmf(0.0).tolist() == [1.0]
 
+    def test_count_law_needs_a_finite_mean(self):
+        # no count t exceeds a nan or infinite mean, so the cut rule's
+        # uncapped gallop would never end
+        for mu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite mean"):
+                _poisson_pmf(mu)
+        with pytest.raises(ValueError, match="finite mean"):
+            asymptotic_bound(1e4, math.nan, math.nan, 64)
+
     @pytest.mark.parametrize("mu", _PMF_MEANS)
     def test_poisson_pmf_matches_the_term_loop(self, mu):
         # the term-by-term loop _poisson_pmf replaced; both sum the log of
