@@ -231,7 +231,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     m = codes.gv_binary_length(n, delta)
     _reject_equal_pair(m, delta)
     fam = leakage.FAMILIES[family]
-    if not fam.noisy:
+    if fam.bound is None:
         if epsilon >= 1.0:
             raise click.BadParameter(f"the {family} family needs epsilon < 1",
                                      param_hint="'--epsilon'")
@@ -246,7 +246,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     report: dict = {"family": family, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon, "noise": asdict(nm)}
     try:
-        report.update(fam.report(n, k, m, delta, epsilon, nm))
+        report |= leakage.solve_report(family, n, k, m, delta, epsilon, nm)
     except InfeasibleError as exc:
         report["infeasible"] = str(exc)
         _emit(json.dumps(report, indent=2) + "\n", out)

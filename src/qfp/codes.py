@@ -1,6 +1,5 @@
-"""Entropy functions, the binary Gilbert-Varshamov length solver and the
-q-ary Gilbert-Varshamov rate, Gray codes, the signal layout, and adversarial
-codeword-pair generators.
+"""Entropy functions, the binary Gilbert-Varshamov length solver, Gray codes,
+the signal layout, and adversarial codeword-pair generators.
 
 No actual error-correcting code is ever constructed: every protocol here
 only needs the minimum distance of the code, so codewords are produced
@@ -18,9 +17,7 @@ __all__ = [
     "binary_entropy",
     "gv_binary_length",
     "gv_binary_rate",
-    "gv_qary_rate",
     "ring_gray",
-    "lattice_gray",
     "gray_position",
     "worst_case_pair",
 ]
@@ -54,21 +51,6 @@ def gv_binary_length(n: int, delta: float) -> int:
     return math.ceil(n / rate - 1e-12)
 
 
-def gv_qary_rate(delta_q: float, q: int) -> float:
-    """Rate (in bits per codeletter) of a q-ary GV-saturating code."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if not 0.0 <= delta_q < 1.0 - 1.0 / q:
-        raise ValueError(f"q-ary GV bound requires 0 <= delta < 1 - 1/q, got {delta_q}")
-    return math.log2(q) - delta_q * math.log2(q - 1) - binary_entropy(delta_q)
-
-
-def _reflected_gray(size: int) -> np.ndarray:
-    """Binary-reflected Gray label of each position 0, ..., size - 1."""
-    pos = np.arange(size, dtype=np.int64)
-    return pos ^ (pos >> 1)
-
-
 def _ring_size(k: int) -> int:
     """2^k, the number of ring positions."""
     if not 1 <= k <= MAX_GRAY_BITS:
@@ -80,7 +62,8 @@ def ring_gray(k: int) -> np.ndarray:
     """The label at each of the 2^k ring positions, a binary-reflected Gray
     code: cyclically adjacent positions (including the wrap-around pair)
     carry labels at Hamming distance one."""
-    return _reflected_gray(_ring_size(k))
+    pos = np.arange(_ring_size(k), dtype=np.int64)
+    return pos ^ (pos >> 1)
 
 
 def _lattice_shape(k: int) -> tuple[int, int]:
@@ -88,16 +71,6 @@ def _lattice_shape(k: int) -> tuple[int, int]:
     if not 2 <= k <= MAX_GRAY_BITS:
         raise ValueError(f"lattice needs 2 <= k <= {MAX_GRAY_BITS}, got {k}")
     return 1 << (k + 1) // 2, 1 << k // 2
-
-
-def lattice_gray(k: int) -> np.ndarray:
-    """The rows x cols grid of labels, a product of two reflected Gray codes.
-
-    The high ceil(k/2) bits of a label index the row, the low floor(k/2)
-    bits the column; grid-adjacent labels differ in exactly one bit.
-    """
-    rows, cols = _lattice_shape(k)
-    return _reflected_gray(rows)[:, None] * cols | _reflected_gray(cols)
 
 
 def gray_position(labels) -> np.ndarray:

@@ -60,8 +60,8 @@ def _lattice_grid(k: int, beta_rms: float) -> tuple[int, int, float]:
 def lattice_constellation(k: int, beta_rms: float,
                           labels: np.ndarray) -> np.ndarray:
     """The point of each label in [0, 2^k) on a centered grid of mean squared
-    modulus beta_rms^2 (``lattice_gray``): the Gray positions of the label's
-    high ceil(k/2) and low floor(k/2) bits give its row, along the imaginary
+    modulus beta_rms^2: the reflected-Gray positions of the label's high
+    ceil(k/2) and low floor(k/2) bits give its row, along the imaginary
     axis, and its column, along the real axis."""
     rows, cols, spacing = _lattice_grid(k, beta_rms)
     x = (gray_position(labels & (cols - 1)) - (cols - 1) / 2.0) * spacing

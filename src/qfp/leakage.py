@@ -38,6 +38,7 @@ __all__ = [
     "classical_reference",
     "DeltaOptimum",
     "optimize_delta_for_qil",
+    "solve_report",
     "Family",
     "FAMILIES",
 ]
@@ -368,9 +369,9 @@ def _coherent_family_qil(family: str, k: int, n: float, m: float,
 def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
                epsilon: float, noise: NoiseModel, measurement: str) -> float:
     """A lower bound on the bits of ``_coherent_family_qil`` at the same
-    arguments (infeasible counting as inf), from no tail call: the ring
-    family with the beamsplitter measurement under dark counts at
-    visibility 1, and -inf at any other setting.
+    arguments (infeasible counting as inf), from no tail call: the family
+    marked ``majorization`` (the ring) with the beamsplitter measurement
+    under dark counts at visibility 1, and -inf at any other setting.
 
     At visibility 1 each signal's dark count is an independent OR on its
     ideal click, so any rule on the noisy counts is a randomized rule on
@@ -395,7 +396,7 @@ def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
     at the solved amplitude.  Where that launch overflows, the solve's
     larger one does too, and the floor is inf.
     """
-    if (family != "ring" or measurement != "beamsplitter"
+    if (not FAMILIES[family].majorization or measurement != "beamsplitter"
             or noise.p_dark == 0.0 or noise.visibility != 1.0):
         return -math.inf
     g = ring_error_exponent(k, delta)
@@ -505,48 +506,47 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
         "argmin_at_edge": i_best in (0, grid.size - 1)})
 
 
-def _interpolation_report(n, k, m, delta, epsilon, noise) -> dict:
-    p_k = k / m
-    r = solve_repetition(k, m, delta, p_k, epsilon)
-    return {"m": m, "p_k": p_k, "repetitions": r,
-            "worst_case_error": interp_worst_case_error(k, m, delta, p_k, r),
-            "qil_bits": qil_interpolation(k, m, p_k, r).bits}
-
-
-def _coherent_report(family, n, k, m, delta, epsilon, noise) -> dict:
-    """``qfp solve``'s fields at the curves' design point, integer m."""
+def solve_report(family: str, n: int, k: int, m: int, delta: float,
+                 epsilon: float, noise: NoiseModel) -> dict:
+    """``qfp solve``'s fields at integer m: for a coherent family, those of
+    the curves' design point."""
+    fam = FAMILIES[family]
+    if fam.bound is None:
+        p_k = k / m
+        r = solve_repetition(k, m, delta, p_k, epsilon)
+        return {"m": m, "p_k": p_k, "repetitions": r, "worst_case_error":
+                interp_worst_case_error(k, m, delta, p_k, r),
+                "qil_bits": qil_interpolation(k, m, p_k, r).bits}
     opt = _coherent_family_qil(family, k, n, m, delta, epsilon, noise,
                                "beamsplitter")
     mu_det = opt.mu * noise.eta
     th = worst_case_error_with_threshold(k, m, mu_det, delta, noise)
-    ring = opt.bound.method == "schur_horn"
+    major = fam.majorization
     return {"m": m, "m_k": opt.m_k, "mu_launched": opt.mu,
             "mu_detected": mu_det, "beta_k": _signal_amplitude(m, k, opt.mu),
             "d_th": th.d_th, "worst_case_error": th.worst_case_error,
-            "qil_majorization_bits": opt.bound.bits if ring else None,
+            "qil_majorization_bits": opt.bound.bits if major else None,
             "qil_typical_subspace_bits": fannes_audenaert_bound(
-                n, opt.m_k, opt.mu, opt.mu).bits if ring else opt.bound.bits}
+                n, opt.m_k, opt.mu, opt.mu).bits if major else opt.bound.bits}
 
 
 @dataclass(frozen=True)
 class Family:
-    """One equality protocol family, the only place its name takes meaning."""
+    """One equality protocol family: each difference from the others that
+    the code reads, so no code branches on its name.  A family takes noise
+    (and so epsilon = 1) exactly when it has a coherent ``bound``."""
 
     k_min: int
     k_max: int | None  # None: up to the codeword length m
-    noisy: bool  # its error model takes noise (and so epsilon = 1)
-    report: Callable[..., dict]  # qfp solve's fields
     bound: Callable[..., LeakageBound] | None = None  # coherent: (n, k, m, mu)
+    majorization: bool = False  # bound is by majorization, so _qil_floor holds
 
 
 FAMILIES = {
-    "interpolation": Family(1, None, False, _interpolation_report),
-    "lattice": Family(2, MAX_GRAY_BITS, True,
-                      functools.partial(_coherent_report, "lattice"),
+    "interpolation": Family(1, None),
+    "lattice": Family(2, MAX_GRAY_BITS,
                       lambda n, k, m, mu: fannes_audenaert_bound(
                           n, m / k, *lattice_mu_range(k, int(round(m)), mu))),
-    "ring": Family(1, _RING_K_MAX, True,
-                   functools.partial(_coherent_report, "ring"),
-                   lambda n, k, m, mu: qil_ring(
-                       k, m, _signal_amplitude(m, k, mu))),
+    "ring": Family(1, _RING_K_MAX, lambda n, k, m, mu: qil_ring(
+        k, m, _signal_amplitude(m, k, mu)), majorization=True),
 }

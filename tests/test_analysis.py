@@ -23,7 +23,7 @@ from qfp.analysis import (PAPER_EXP_NOISE, InfeasibleError, NoiseModel,
                           ring_error_exponent, ring_worst_case_error,
                           solve_amplitude, solve_repetition,
                           worst_case_error_with_threshold)
-from qfp.codes import (_signal_blocks, gv_binary_rate, gv_qary_rate,
+from qfp.codes import (_signal_blocks, binary_entropy, gv_binary_rate,
                        ring_gray, worst_case_pair)
 from qfp.constellations import _signal_amplitude, encode, ring_constellation
 
@@ -43,8 +43,9 @@ class TestNoClickProb:
 
 
 def _ring_points(codeword, k, mu):
-    """encode(codeword, "ring", k, mu) without its 2^k-entry tables: a
-    label's ring position is its inverse reflected Gray code."""
+    """encode(codeword, "ring", k, mu) by another route: a signal's label
+    from a product with the powers of two, and its ring position, the
+    inverse reflected Gray code, from a prefix XOR of k bits."""
     pos = _signal_blocks(codeword, k).astype(np.int64) @ (
         1 << np.arange(k - 1, -1, -1, dtype=np.int64))
     shift = 1
@@ -64,8 +65,8 @@ class TestClickLaw:
         mu = solve_amplitude(k, m, delta, 0.01)
         x, y = worst_case_pair(m, delta, k, "even")
         a, b = _ring_points(x, k, mu), _ring_points(y, k, mu)
-        if k == 20:
-            assert np.array_equal(a, encode(x, "ring", k, mu))
+        assert np.array_equal(a, encode(x, "ring", k, mu))
+        assert np.array_equal(b, encode(y, "ring", k, mu))
         with mpmath.workdps(50):
             no_click = [mpmath.exp(-abs(mpmath.mpc(p) - mpmath.mpc(q)) ** 2 / 2)
                         for p, q in zip(a, b)]
@@ -723,7 +724,19 @@ class TestSolveAmplitude:
         assert 0.0 < mu < math.inf
 
 
+def _gv_qary_rate(delta_q, q):
+    """Rate in bits per codeletter of a q-ary code saturating the
+    Gilbert-Varshamov bound, 0 <= delta_q < 1 - 1/q: the oracle of
+    ``gray_beats_qary``."""
+    return math.log2(q) - delta_q * math.log2(q - 1) - binary_entropy(delta_q)
+
+
 class TestQaryComparison:
+    def test_oracle_reduces_to_binary(self):
+        for delta in (0.0, 0.1, 0.3):
+            assert _gv_qary_rate(delta, 2) == pytest.approx(
+                gv_binary_rate(delta), rel=1e-12)
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_gray_wins_across_grid(self, k):
         assert checks.qary_violations([k], 1e-6, 100) == 0
@@ -731,13 +744,13 @@ class TestQaryComparison:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_margin_equals_gv_rate_difference(self, k):
         # criterion 11's grid without its top point, where the 2^k-ary
-        # distance k*delta reaches 1 - 2^-k, outside gv_qary_rate's domain
+        # distance k*delta reaches 1 - 2^-k, outside the q-ary GV domain
         q = 1 << k
         hi = (1.0 - 2.0 ** (-k)) / k
         for delta in np.linspace(1e-9, hi, 1000)[:-1]:
             delta = float(delta)
             ok, margin = gray_beats_qary(k, delta)
-            rate_gap = k * gv_binary_rate(delta) - gv_qary_rate(k * delta, q)
+            rate_gap = k * gv_binary_rate(delta) - _gv_qary_rate(k * delta, q)
             assert k * delta * margin == pytest.approx(rate_gap, rel=0,
                                                        abs=1e-13)
             assert ok == (rate_gap >= 0.0)

@@ -177,7 +177,8 @@ class TestSolve:
             "beamsplitter")
         assert report["mu_launched"] == opt.mu
         assert report["m_k"] == opt.m_k
-        bound = ("qil_majorization_bits" if family == "ring"
+        bound = ("qil_majorization_bits"
+                 if leakage.FAMILIES[family].majorization
                  else "qil_typical_subspace_bits")
         assert report[bound] == opt.bound.bits
 
@@ -237,6 +238,18 @@ class TestSolve:
         assert result.exit_code == 2
         assert "Invalid value for '--k'" in result.output
         assert "k <= m" in result.output
+
+    @pytest.mark.parametrize("family", sorted(leakage.FAMILIES))
+    def test_record_decides_noise_and_majorization(self, family):
+        # at the family's least k: a family takes noise exactly when it has
+        # a coherent bound, and reports a majorization bound exactly when
+        # its record is marked for one
+        fam = leakage.FAMILIES[family]
+        args = ["solve", "--family", family, "--k", str(fam.k_min)]
+        noisy = CliRunner().invoke(main, [*args, "--noise", "paper-exp"])
+        assert noisy.exit_code == (0 if fam.bound else 2), noisy.output
+        bits = json.loads(_run(args).output).get("qil_majorization_bits")
+        assert isinstance(bits, float) == fam.majorization
 
     @pytest.mark.parametrize("family", sorted(leakage.FAMILIES))
     def test_k_range_from_the_table(self, family):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import checks
-from qfp.codes import (MAX_GRAY_BITS, _signal_blocks, binary_entropy,
-                       gray_position, gv_binary_length, gv_binary_rate,
-                       gv_qary_rate, lattice_gray, ring_gray, worst_case_pair)
+from qfp.codes import (MAX_GRAY_BITS, _lattice_shape, _signal_blocks,
+                       binary_entropy, gray_position, gv_binary_length,
+                       gv_binary_rate, ring_gray, worst_case_pair)
 
 
 class TestBinaryEntropy:
@@ -46,16 +46,9 @@ class TestGVLength:
     def test_monotone_in_delta(self, n, delta):
         assert gv_binary_length(n, delta) >= n
 
-    def test_qary_reduces_to_binary(self):
-        for delta in (0.0, 0.1, 0.3):
-            assert gv_qary_rate(delta, 2) == pytest.approx(
-                gv_binary_rate(delta), rel=1e-12)
-
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             gv_binary_rate(0.6)
-        with pytest.raises(ValueError):
-            gv_qary_rate(0.8, 4)
 
 
 class TestRingGray:
@@ -79,19 +72,24 @@ class TestRingGray:
 class TestLatticeGray:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_grid_adjacency(self, k):
-        grid = lattice_gray(k)
-        rows, cols = grid.shape
-        for r in range(rows):
-            for c in range(cols):
-                for dr, dc in ((0, 1), (1, 0)):
-                    rr, cc = r + dr, c + dc
-                    if rr < rows and cc < cols:
-                        diff = int(grid[r, c]) ^ int(grid[rr, cc])
-                        assert bin(diff).count("1") == 1
+        # on the map lattice_constellation runs: the Gray positions of a
+        # label's high bits and low bits are its row and column, every cell
+        # takes one label, and grid-adjacent labels differ in one bit
+        rows, cols = _lattice_shape(k)
+        labels = np.arange(1 << k)
+        grid = np.full((rows, cols), -1)
+        grid[gray_position(labels >> k // 2),
+             gray_position(labels & (cols - 1))] = labels
+        assert sorted(grid.ravel()) == list(labels)
+        for diff in (grid[1:] ^ grid[:-1], grid[:, 1:] ^ grid[:, :-1]):
+            assert [bin(d).count("1") for d in diff.ravel()] == [1] * diff.size
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_shape(self, k):
-        assert lattice_gray(k).shape == (1 << ((k + 1) // 2), 1 << (k // 2))
+        # k bits over two sides, the row side taking the odd bit
+        rows, cols = _lattice_shape(k)
+        assert rows * cols == 1 << k
+        assert rows == cols << (k % 2)
 
 
 class TestGrayPosition:

@@ -19,10 +19,23 @@ _COHERENT = [(name, k) for name, fam in leakage.FAMILIES.items() if fam.bound
              for k in range(fam.k_min, min(fam.k_max, 8) + 1)]
 
 
+def _lattice_gray(k):
+    """The rows x cols grid of labels in position order, a product of two
+    reflected Gray codes: the high ceil(k/2) bits of a label index the row,
+    the low floor(k/2) bits the column."""
+    rows, cols = codes._lattice_shape(k)
+    row, col = np.arange(rows), np.arange(cols)
+    return (row ^ row >> 1)[:, None] * cols | col ^ col >> 1
+
+
+# each family's labels in position order
+_GRAY = {"ring": codes.ring_gray, "lattice": _lattice_gray}
+
+
 @pytest.mark.parametrize("family,k", _COHERENT)
 def test_encoder_reads_the_family_arrays(family, k):
     # labels and points by position, from the family's own functions
-    labels = getattr(codes, f"{family}_gray")(k).reshape(-1)
+    labels = _GRAY[family](k).reshape(-1)
     mu = 3.7
     # the codeword listing every label once, first bit most significant
     bits = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
@@ -61,7 +74,7 @@ def _points_by_position(family, k, beta):
 def test_label_maps_equal_the_position_table(family, k):
     # bit for bit, signed zeros included, over every label and over small
     # label sets such as the encoder's per-pair calls evaluate
-    gray = getattr(codes, f"{family}_gray")(k).reshape(-1)
+    gray = _GRAY[family](k).reshape(-1)
     constellation = getattr(constellations, f"{family}_constellation")
     rng = np.random.default_rng(k)
     labels = np.arange(1 << k)
@@ -137,12 +150,12 @@ class TestEncodeRing:
 class TestLattice:
     def test_rms_normalization(self):
         ms = np.mean(np.abs(lattice_constellation(
-            4, 1.3, codes.lattice_gray(4))) ** 2)
+            4, 1.3, _lattice_gray(4))) ** 2)
         assert ms == pytest.approx(1.3 ** 2, rel=1e-12)
 
     def test_centered(self):
         assert abs(np.mean(lattice_constellation(
-            5, 1.0, codes.lattice_gray(5)))) < 1e-12
+            5, 1.0, _lattice_gray(5)))) < 1e-12
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_mu_range_is_the_grid_extremes(self, k):
@@ -155,7 +168,7 @@ class TestLattice:
                 lo, hi = lattice_mu_range(k, m, mu)
                 intensities = np.abs(lattice_constellation(
                     k, _signal_amplitude(m, k, mu),
-                    codes.lattice_gray(k))) ** 2
+                    _lattice_gray(k))) ** 2
                 assert lo == pytest.approx(n_signals * intensities.min(),
                                            rel=2e-15, abs=0.0)
                 assert hi == pytest.approx(n_signals * intensities.max(),

@@ -1,7 +1,8 @@
 """Each module's ``__all__`` is its export list: every public function and
 class the module defines is on it, every name on it resolves, and every name
 on it is read in the package or is one of the stated unread exports.  The
-count laws are defined in one module."""
+count laws are defined in one module, and no code compares a family's
+name."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import qfp
+from qfp.leakage import FAMILIES
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qfp.__path__))
 
@@ -101,8 +103,7 @@ UNREAD_EXPORTS = {
     # read by the benchmark, apart from tests
     "no_click_prob", "ring_worst_case_error", "signal_click_probs",
     # test oracles whose job another function now does
-    "gv_qary_rate", "lattice_gray", "lambda_interpolation",
-    "lambda_ring_series",
+    "lambda_interpolation", "lambda_ring_series",
     # oracles by design
     "interpolation_state_vector", "asymptotic_bound",
     "beamsplitter_click_probs", "optimal_projector_error",
@@ -129,3 +130,32 @@ def test_every_export_is_read_or_stated_unread():
     exported = {attr for name in MODULES if name != "cli"
                 for attr in importlib.import_module(f"qfp.{name}").__all__}
     assert exported - read == UNREAD_EXPORTS
+
+
+def _family_name_comparisons(tree: ast.Module) -> list[str]:
+    """Each ==, !=, in or not in comparison with a ``FAMILIES`` key among
+    its operands or among the items of a literal tuple, list or set."""
+    def items(operand):
+        if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+            return operand.elts
+        return [operand]
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                for op in node.ops)):
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(item, ast.Constant) and item.value in FAMILIES
+               for operand in operands for item in items(operand)):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_code_compares_a_family_name():
+    # a family's differences live in its FAMILIES record, so code reads a
+    # field of the record instead of testing which family it has
+    found = {path.name: _family_name_comparisons(ast.parse(path.read_text()))
+             for path in sorted(Path(qfp.__file__).parent.glob("*.py"))}
+    assert {name: rows for name, rows in found.items() if rows} == {}
