@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
-from .codes import binary_entropy
+from .codes import _signal_count, binary_entropy
 from .constellations import _signal_amplitude
 
 __all__ = [
@@ -402,10 +402,9 @@ def worst_case_error_with_threshold(k: int, m: int, mu_detected: float,
     NotEqual needs at least one click, so d_th >= 1; t = 0 can win the
     search only in a tie at error 1, so the floor moves no error value.
     """
-    m_k = -(-m // k)
     p_D, p_E = experimental_click_probs(k, _signal_amplitude(m, k, mu_detected),
                                         delta, noise.p_dark, noise.visibility)
-    res = optimal_threshold(m_k, p_D, p_E)
+    res = optimal_threshold(_signal_count(m, k), p_D, p_E)
     return res if res.d_th >= 1 else replace(res, d_th=1)
 
 
@@ -548,7 +547,7 @@ def solve_amplitude(k: int, m: int, delta: float, epsilon: float,
         # error is at least P(no click) = (1 - p_D)^m_k at every amplitude;
         # the margin keeps round-off from raising where a root exists
         p_inf = _with_dark_counts(k * delta, noise.p_dark)
-        m_k = -(-m // k)
+        m_k = _signal_count(m, k)
         log_floor = m_k * math.log1p(-p_inf)
         if log_floor - log_eps > 1e-9:
             raise InfeasibleError(

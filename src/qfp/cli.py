@@ -246,7 +246,7 @@ def solve(family, k, n, delta, epsilon, out, noise, eta, p_dark,
     report: dict = {"family": family, "k": k, "n": n, "delta": delta,
                     "epsilon": epsilon, "noise": asdict(nm)}
     try:
-        report |= leakage.solve_report(family, n, k, m, delta, epsilon, nm)
+        report |= leakage.solve_report(fam, n, k, m, delta, epsilon, nm)
     except InfeasibleError as exc:
         report["infeasible"] = str(exc)
         _emit(json.dumps(report, indent=2) + "\n", out)

@@ -82,13 +82,21 @@ def gray_position(labels) -> np.ndarray:
     return pos
 
 
+def _signal_count(m: int, k: int) -> int:
+    """ceil(m/k) k-bit signals carry m bits: the count of the layout, the
+    click model, the lattice's photon range, the interpolation bound and
+    ``_qil_floor``'s c.  ``_signal_amplitude``, the ring and lattice bounds,
+    ``DeltaOptimum.m_k`` and the curves' real GV length use m/k instead."""
+    return -(-m // k)
+
+
 def _signal_blocks(seq, k: int) -> np.ndarray:
     """The signal layout: a nonempty 1-D sequence as rows of k entries, one
     row per signal, in the sequence's dtype, with the last row zero-padded."""
     seq = np.asarray(seq)
     if seq.ndim != 1 or seq.size == 0:
         raise ValueError("sequence must be nonempty and 1-D")
-    rows = np.zeros((-(-seq.size // k), k), dtype=seq.dtype)
+    rows = np.zeros((_signal_count(seq.size, k), k), dtype=seq.dtype)
     rows.reshape(-1)[:seq.size] = seq
     return rows
 

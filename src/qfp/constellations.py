@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import _lattice_shape, _ring_size, _signal_blocks, gray_position
+from .codes import (_lattice_shape, _ring_size, _signal_blocks, _signal_count,
+                    gray_position)
 
 __all__ = [
     "ProtocolInstance",
@@ -119,7 +120,7 @@ def lattice_mu_range(k: int, m: int, mu: float) -> tuple[float, float]:
     cols are even, so with spacing s the four centre points have s^2/2 and
     the corners s^2 ((rows - 1)^2 + (cols - 1)^2) / 4."""
     rows, cols, spacing = _lattice_grid(k, _signal_amplitude(m, k, mu))
-    s2_signals = -(-m // k) * spacing * spacing
+    s2_signals = _signal_count(m, k) * spacing * spacing
     return (s2_signals / 2.0,
             s2_signals * ((rows - 1) ** 2 + (cols - 1) ** 2) / 4.0)
 

@@ -22,7 +22,7 @@ from .analysis import (_AMPLITUDE_RTOL, _AMPLITUDE_XTOL, IDEAL_NOISE,
                        _typical_tail, interp_worst_case_error,
                        ring_error_exponent, solve_amplitude, solve_repetition,
                        worst_case_error_with_threshold)
-from .codes import MAX_GRAY_BITS, binary_entropy, gv_binary_rate
+from .codes import MAX_GRAY_BITS, _signal_count, binary_entropy, gv_binary_rate
 from .constellations import _signal_amplitude, lattice_mu_range
 
 __all__ = [
@@ -101,7 +101,7 @@ def qil_interpolation(k: int, m: int, p_k: float | None = None,
         per_signal -= p_k * math.log2(p_k / (2.0 * k))
     if p_k < 1.0:
         per_signal -= (1.0 - p_k) * math.log2(1.0 - p_k)
-    n_signals = -(-m // k)
+    n_signals = _signal_count(m, k)
     bits = 2.0 * n_signals * r * per_signal
     analytic = 2.0 * r * (2.0 + (1.0 + k / m) * math.log2(2.0 * m))
     subterms = {
@@ -220,9 +220,14 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
     the best bound; there a tie replaces the best, so ties go to the
     smaller radius, as in one scan up from ``first``.  h(g) is skipped
     where dim(r) + c(r) alone settles a radius.
+
+    An infinite mu_max, or a dimension term that overflows at ``first``,
+    leaves no finite bound and raises ``InfeasibleError``.
     """
-    if not 0.0 <= mu_min <= mu_max < math.inf:
+    if not 0.0 <= mu_min <= mu_max:
         raise ValueError(f"bad photon range [{mu_min}, {mu_max}]")
+    if mu_max == math.inf:
+        raise InfeasibleError(f"no finite bound at mu_max {mu_max}")
 
     def dimension(radius: int) -> float:
         return _log2_fock_dim(mu_max + radius,
@@ -242,6 +247,8 @@ def fannes_audenaert_bound(n: float, m_k: float, mu_min: float,
 
     first = _first_true(lambda r: probe(r)[0] < 0.5)
     floor = dimension(first)
+    if floor == math.inf:
+        raise InfeasibleError(f"log-dimension overflows at mu_max {mu_max:g}")
     step = dimension(first + 1) - floor
     start = first - 1 + _first_true(
         lambda j: probe(first - 1 + j)[2] - probe(first + j)[2] <= step)
@@ -345,28 +352,22 @@ _GOLDEN_TOL = 1e-6
 _COARSE_GRID_POINTS = 41
 
 
-def _coherent_family_qil(family: str, k: int, n: float, m: float,
+def _coherent_family_qil(family: Family, k: int, n: float, m: float,
                          delta: float, epsilon: float, noise: NoiseModel,
                          measurement: str) -> DeltaOptimum:
-    """Design point and leakage bound of a ring or lattice protocol for n
+    """Design point and leakage bound of a coherent family's protocol for n
     input bits at codeword length m: real-valued from the delta optimizer,
     the integer GV length from ``qfp solve``, rounded where m must be whole.
-
-    ``optimal_lb`` is modelled without noise.  Any one-sided measurement errs
-    at least the beamsplitter error squared, so it takes half the latter's mu.
-    """
-    if measurement not in ("beamsplitter", "optimal_lb"):
-        raise ValueError(f"unknown measurement {measurement!r}")
-    if measurement == "optimal_lb" and not noise.is_ideal:
-        raise ValueError("optimal_lb is modelled without noise")
+    ``optimal_lb``, noise-free by the caller's check, takes half the mu of the
+    beamsplitter, whose error squared bounds any one-sided measurement's."""
     mu = solve_amplitude(k, int(round(m)), delta, epsilon, noise)
     if measurement == "optimal_lb":
         mu /= 2.0
-    return DeltaOptimum(delta=delta, bound=FAMILIES[family].bound(n, k, m, mu),
+    return DeltaOptimum(delta=delta, bound=family.bound(n, k, m, mu),
                         mu=mu, m_k=m / k)
 
 
-def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
+def _qil_floor(family: Family, k: int, n: float, m: float, delta: float,
                epsilon: float, noise: NoiseModel, measurement: str) -> float:
     """A lower bound on the bits of ``_coherent_family_qil`` at the same
     arguments (infeasible counting as inf), from no tail call: the family
@@ -396,19 +397,19 @@ def _qil_floor(family: str, k: int, n: float, m: float, delta: float,
     at the solved amplitude.  Where that launch overflows, the solve's
     larger one does too, and the floor is inf.
     """
-    if (not FAMILIES[family].majorization or measurement != "beamsplitter"
+    if (not family.majorization or measurement != "beamsplitter"
             or noise.p_dark == 0.0 or noise.visibility != 1.0):
         return -math.inf
     g = ring_error_exponent(k, delta)
     whole = int(round(m))
-    c = k * -(-whole // k) / whole
+    c = k * _signal_count(whole, k) / whole
     mu_det = _log_over(1.0 - epsilon, epsilon) / (g * c)
     mu_det = max(0.0, (mu_det - _AMPLITUDE_XTOL) / (1.0 + _AMPLITUDE_RTOL))
     try:
         mu = _launched(mu_det, noise.eta)
     except InfeasibleError:
         return math.inf
-    return FAMILIES[family].bound(n, k, m, mu).bits
+    return family.bound(n, k, m, mu).bits
 
 
 def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
@@ -439,12 +440,16 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
                          f"{fam.k_max}, got k = {k}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if measurement not in ("beamsplitter", "optimal_lb"):
+        raise ValueError(f"unknown measurement {measurement!r}")
+    if measurement == "optimal_lb" and not noise.is_ideal:
+        raise ValueError("optimal_lb is modelled without noise")
 
     tally = {"evaluations": 0, "infeasible": 0, "skipped": 0}
 
     def point(delta: float) -> tuple:
         # the GV bound taken as an equality for the rate: m is real-valued
-        return (family, k, n, n / gv_binary_rate(delta), delta, epsilon,
+        return (fam, k, n, n / gv_binary_rate(delta), delta, epsilon,
                 noise, measurement)
 
     def design(delta: float) -> DeltaOptimum:
@@ -506,12 +511,11 @@ def optimize_delta_for_qil(family: str, k: int, n: float, epsilon: float,
         "argmin_at_edge": i_best in (0, grid.size - 1)})
 
 
-def solve_report(family: str, n: int, k: int, m: int, delta: float,
+def solve_report(family: Family, n: int, k: int, m: int, delta: float,
                  epsilon: float, noise: NoiseModel) -> dict:
     """``qfp solve``'s fields at integer m: for a coherent family, those of
     the curves' design point."""
-    fam = FAMILIES[family]
-    if fam.bound is None:
+    if family.bound is None:
         p_k = k / m
         r = solve_repetition(k, m, delta, p_k, epsilon)
         return {"m": m, "p_k": p_k, "repetitions": r, "worst_case_error":
@@ -521,7 +525,7 @@ def solve_report(family: str, n: int, k: int, m: int, delta: float,
                                "beamsplitter")
     mu_det = opt.mu * noise.eta
     th = worst_case_error_with_threshold(k, m, mu_det, delta, noise)
-    major = fam.majorization
+    major = family.majorization
     return {"m": m, "m_k": opt.m_k, "mu_launched": opt.mu,
             "mu_detected": mu_det, "beta_k": _signal_amplitude(m, k, opt.mu),
             "d_th": th.d_th, "worst_case_error": th.worst_case_error,
@@ -534,7 +538,10 @@ def solve_report(family: str, n: int, k: int, m: int, delta: float,
 class Family:
     """One equality protocol family: each difference from the others that
     the code reads, so no code branches on its name.  A family takes noise
-    (and so epsilon = 1) exactly when it has a coherent ``bound``."""
+    (and so epsilon = 1) exactly when it has a coherent ``bound``.  A name
+    is resolved to its record once, where it enters the code
+    (``optimize_delta_for_qil`` and ``qfp solve``); the design point, its
+    floor and ``solve_report`` take the record."""
 
     k_min: int
     k_max: int | None  # None: up to the codeword length m

@@ -426,6 +426,20 @@ class TestBrentOracle:
                                           xtol=2e-12, rtol=1e-10, maxiter=3)
         assert kind is RuntimeError and len(xs) == 5
 
+    @pytest.mark.parametrize("num,den,want", [
+        (1.0, 0.0, math.inf), (1.0, -0.0, -math.inf),
+        (-2.0, 0.0, -math.inf), (-2.0, -0.0, math.inf),
+        (math.inf, -0.0, -math.inf)])
+    def test_c_div_by_zero_is_signed_inf(self, num, den, want):
+        # C's num / 0 is inf, signed by both operands, where Python raises
+        assert analysis._c_div(num, den) == want
+
+    @pytest.mark.parametrize("num,den", [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (math.nan, 0.0),
+        (math.nan, -0.0)])
+    def test_c_div_zero_or_nan_over_zero_is_nan(self, num, den):
+        assert math.isnan(analysis._c_div(num, den))
+
 
 def _bisection_threshold(m_k: int, p_D: float, p_E: float) -> ThresholdResult:
     """The bisection search that preceded the galloping one, kept as the

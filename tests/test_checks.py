@@ -55,3 +55,9 @@ def test_check_fails_when_perturbed(monkeypatch, measure, bound, module, name,
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: perturb(original(*args)))
     assert measure() >= bound
+
+
+def test_gray_suite_names_the_break(monkeypatch):
+    monkeypatch.setattr(checks, "ring_gray_break", lambda ks: (3, 5))
+    assert checks.SUITES["gray"]() == (
+        False, "ring Gray code broken at k=3, pos=5")

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import qfp
-from qfp import leakage
+from qfp import checks, leakage
 from qfp.analysis import (IDEAL_NOISE, PAPER_EXP_NOISE, InfeasibleError,
                           NoiseModel, worst_case_error_with_threshold)
 from qfp.cli import CSV_COLUMNS, main
@@ -27,6 +27,15 @@ DATA = Path(__file__).parent / "data"
 
 def _run(args, **kwargs):
     return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+# launched photon numbers near the float limit: the typical-subspace bound
+# has no finite value at the first two and the ring's third, and the
+# lattice's photon range overflows at the fourth
+_PHOTON_OVERFLOW = [
+    ["solve", "--family", family, "--k", k, "--eta", eta]
+    for eta in ("1e-305", "1e-307") for family, k in (("ring", "1"),
+                                                      ("lattice", "2"))]
 
 
 class TestCurves:
@@ -139,6 +148,14 @@ class TestSolve:
             "infeasible": "error 0.01 unattainable at visibility 0, where "
                           "equal and different inputs click alike"}
 
+    def test_photon_overflow_is_an_infeasible_report(self):
+        for args in _PHOTON_OVERFLOW:
+            result = _run(args)
+            assert result.exit_code == 1, args
+            report = json.loads(result.output, parse_constant=_reject_constant)
+            assert "infeasible" in report and "qil_majorization_bits" not in \
+                report, report
+
     def test_interpolation_reports_repetitions(self):
         result = _run(["solve", "--family", "interpolation", "--k", "2",
                        "--n", "100", "--delta", "0.25"])
@@ -172,8 +189,8 @@ class TestSolve:
             "solve", "--family", family, "--k", str(k), "--n", str(n),
             "--delta", str(delta), "--noise", noise]).output)
         opt = leakage._coherent_family_qil(
-            family, k, n, gv_binary_length(n, delta), delta, 0.01,
-            {"ideal": IDEAL_NOISE, "paper-exp": PAPER_EXP_NOISE}[noise],
+            leakage.FAMILIES[family], k, n, gv_binary_length(n, delta), delta,
+            0.01, {"ideal": IDEAL_NOISE, "paper-exp": PAPER_EXP_NOISE}[noise],
             "beamsplitter")
         assert report["mu_launched"] == opt.mu
         assert report["m_k"] == opt.m_k
@@ -386,6 +403,16 @@ def verify_result():
 
 
 class TestVerify:
+    def test_failing_suite_exits_1(self, monkeypatch):
+        monkeypatch.setattr(checks, "SUITES", {
+            "gray": checks.SUITES["gray"], "broken": lambda: (False, "x")})
+        result = CliRunner().invoke(main, ["verify"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "broken": {"passed": False, "detail": "x"},
+            "gray": {"passed": True,
+                     "detail": "ring adjacency holds for k <= 12"}}
+
     def test_all_suites_pass(self, verify_result):
         assert verify_result.exit_code == 0
         report = json.loads(verify_result.output)
@@ -413,6 +440,13 @@ class TestUsc:
         assert report["overlap"] == 0.6
         assert report["same_inputs"]["inconclusive"] == \
             __import__("pytest").approx(0.6, abs=1e-12)
+
+    def test_equal_qubits_are_always_inconclusive(self):
+        # at p = 0 both qubits are |0>: neither unambiguous detector exists
+        report = json.loads(_run(["usc", "--p", "0"]).output)
+        for inputs in ("same_inputs", "different_inputs"):
+            assert report[inputs] == {"same": 0.0, "different": 0.0,
+                                      "inconclusive": 1.0}
 
 
 class TestEdEstimate:
@@ -474,9 +508,14 @@ def _reject_constant(name):
      "--noise", "ideal", "--p-dark", "0.999999999999"],
     # the delta optimizer's floor launched mu_det / eta = inf
     ["curves", "--preset", "fig3", "--eta", "5e-324", "--n-points", "1"],
+    # the typical-subspace dimension overflowed, or the lattice's photon
+    # range did
+    *_PHOTON_OVERFLOW,
 ], ids=["ed-cut", "solve-subnormal-eps", "curves-subnormal-eps",
         "simulate-subnormal-eta", "curves-strong-dark",
-        "curves-subnormal-eta"])
+        "curves-subnormal-eta", "solve-ring-eta1e-305",
+        "solve-lattice-eta1e-305", "solve-ring-eta1e-307",
+        "solve-lattice-eta1e-307"])
 def test_cli_contract(args):
     # a result, an infeasibility or a usage error: never a traceback, and
     # what a success prints is strict JSON or CSV rows of the header's width

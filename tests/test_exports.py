@@ -1,8 +1,9 @@
 """Each module's ``__all__`` is its export list: every public function and
 class the module defines is on it, every name on it resolves, and every name
 on it is read in the package or is one of the stated unread exports.  The
-count laws are defined in one module, and no code compares a family's
-name."""
+count laws are defined in one module, no code compares a family's name,
+a name is resolved to its family record only where it enters the code, and
+one function counts the signals."""
 
 import ast
 import importlib
@@ -159,3 +160,53 @@ def test_no_code_compares_a_family_name():
     found = {path.name: _family_name_comparisons(ast.parse(path.read_text()))
              for path in sorted(Path(qfp.__file__).parent.glob("*.py"))}
     assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+def _homes(predicate) -> list[str]:
+    """``module.function`` of the innermost function around each node of
+    the package that ``predicate`` accepts (``module.<module>`` outside
+    any function)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if predicate(node):
+            found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name in MODULES:
+        visit(_module_tree(name), f"{name}.<module>")
+    return sorted(found)
+
+
+def _is_families(node: ast.AST) -> bool:
+    """``FAMILIES`` or ``<module>.FAMILIES``."""
+    return (isinstance(node, ast.Name) and node.id == "FAMILIES"
+            or isinstance(node, ast.Attribute) and node.attr == "FAMILIES")
+
+
+def test_ceiling_division_only_in_signal_count():
+    # ceil(m/k) as -(-m // k): the signal count has one home
+    def ceiling(node):
+        return (isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.BinOp)
+                and isinstance(node.operand.op, ast.FloorDiv)
+                and isinstance(node.operand.left, ast.UnaryOp)
+                and isinstance(node.operand.left.op, ast.USub))
+
+    assert _homes(ceiling) == ["codes._signal_count"]
+
+
+def test_family_names_resolved_only_where_they_enter():
+    # FAMILIES[...] and FAMILIES.get(...): the delta optimizer and
+    # ``qfp solve`` take a name, and everything they call takes the record
+    def lookup(node):
+        return (isinstance(node, ast.Subscript) and _is_families(node.value)
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and _is_families(node.func.value))
+
+    assert _homes(lookup) == ["cli.solve", "leakage.optimize_delta_for_qil"]

@@ -486,11 +486,23 @@ class TestFannesAudenaert:
         assert all(a < b for a, b in zip(bits, bits[1:]))
 
     def test_photon_range_ordering_check(self):
-        # a NaN or infinite photon number would never end the radius scan
+        # a NaN or infinite photon number would never end the radius scan;
+        # only the infinite one is an infeasibility, the rest is bad input
         for mu_min, mu_max in [(5.0, 2.0), (-1.0, 2.0), (math.nan, math.nan),
                                (1.0, math.inf)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 fannes_audenaert_bound(1e3, 1e3, mu_min, mu_max)
+            assert isinstance(info.value, InfeasibleError) == (
+                mu_max == math.inf)
+
+    @pytest.mark.parametrize("mu_min,mu_max", [
+        (math.inf, math.inf),                    # lattice_mu_range overflowed
+        (1e306, 1e306), (0.0, 1e306)])           # dim(first) overflows
+    def test_photon_overflow_is_infeasible(self, mu_min, mu_max):
+        # no finite bound: the design point is infeasible, and a search or
+        # ``qfp solve`` reports it as such instead of looping or crashing
+        with pytest.raises(InfeasibleError):
+            fannes_audenaert_bound(1e3, 1e3, mu_min, mu_max)
 
 
 class TestAsymptoticBound:
@@ -501,6 +513,21 @@ class TestAsymptoticBound:
             bits = asymptotic_bound(m_k, mu, mu, delta).bits
             ratios.append(bits / math.log2(m_k))
         assert max(ratios) / min(ratios) < 2.0
+
+    def test_window_sum_is_the_direct_sum(self):
+        # Delta = 1 at mu = 0.5: windows j = 1..14 are summed, the last the
+        # first whose term falls below 1e-12
+        m_k, mu, width = 10.0, 0.5, 1
+        bound = asymptotic_bound(m_k, mu, mu, width)
+        terms = [math.exp(_log_poisson_tail_bound(mu, j * width))
+                 * _log2_fock_dim(mu + (j + 1) * width, width, m_k)
+                 for j in range(1, 15)]
+        assert bound.subterms["truncation_index"] == 14
+        assert terms[-2] >= 1e-12 > terms[-1]
+        total = _log2_fock_dim(mu + width, 2.0 * width + 1.0, m_k) + sum(terms)
+        assert bound.subterms["window_sum"] == pytest.approx(total, rel=1e-15)
+        assert bound.bits == pytest.approx(
+            shannon_entropy(_poisson_pmf(mu)) + total, rel=1e-15)
 
     def test_requires_wide_window(self):
         with pytest.raises(ValueError):
@@ -530,7 +557,7 @@ class TestDeltaOptimization:
         opt = optimize_delta_for_qil("ring", 2, 1e4, 0.01)
         for shift in (-0.01, 0.01):
             delta = opt.delta + shift
-            probe = _coherent_family_qil("ring", 2, 1e4,
+            probe = _coherent_family_qil(leakage.FAMILIES["ring"], 2, 1e4,
                                          1e4 / gv_binary_rate(delta), delta,
                                          0.01, NoiseModel(), "beamsplitter")
             assert opt.bound.bits <= probe.bound.bits + 1e-6
@@ -615,8 +642,8 @@ class TestDeltaOptimization:
         assert lb.mu < bs.mu
 
     def test_optimal_lb_is_half_the_ideal_beamsplitter_amplitude(self):
-        args = ("ring", 3, 1e4, 1e4 / gv_binary_rate(0.3), 0.3, 0.01,
-                NoiseModel())
+        args = (leakage.FAMILIES["ring"], 3, 1e4, 1e4 / gv_binary_rate(0.3),
+                0.3, 0.01, NoiseModel())
         lb = _coherent_family_qil(*args, "optimal_lb")
         bs = _coherent_family_qil(*args, "beamsplitter")
         assert lb.mu == bs.mu / 2.0
@@ -627,13 +654,50 @@ class TestDeltaOptimization:
                              ids=["visibility", "eta", "p_dark"])
     def test_optimal_lb_rejects_noise(self, noise):
         with pytest.raises(ValueError, match="without noise"):
-            _coherent_family_qil("ring", 4, 1e4, 5e4, 0.3, 0.01, noise,
-                                 "optimal_lb")
+            optimize_delta_for_qil("ring", 4, 1e4, 0.01, noise=noise,
+                                   measurement="optimal_lb")
 
     def test_optimal_lb_infeasible_at_zero_distance(self):
         with pytest.raises(InfeasibleError):
-            _coherent_family_qil("ring", 4, 1e4, 1e4, 0.0, 0.01, NoiseModel(),
-                                 "optimal_lb")
+            _coherent_family_qil(leakage.FAMILIES["ring"], 4, 1e4, 1e4, 0.0,
+                                 0.01, NoiseModel(), "optimal_lb")
+
+    @pytest.mark.parametrize("noise,measurement,match", [
+        (IDEAL_NOISE, "helstrom", "unknown measurement"),
+        (PAPER_EXP_NOISE, "optimal_lb", "without noise")],
+        ids=["unknown", "optimal_lb-noisy"])
+    def test_measurement_checked_before_any_design_point(
+            self, monkeypatch, noise, measurement, match):
+        # the optimizer checks its measurement once, at its entry, so no
+        # design point is solved for a measurement it rejects
+        calls = []
+
+        def spy(*args, _real=_coherent_family_qil):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(leakage, "_coherent_family_qil", spy)
+        with pytest.raises(ValueError, match=match):
+            optimize_delta_for_qil("ring", 2, 1e3, 0.01, noise=noise,
+                                   measurement=measurement)
+        assert calls == []
+
+    def test_design_point_reads_the_record_it_is_given(self):
+        # the design point takes a record, not a name: a synthetic family
+        # gets its own bound's bits at the solved amplitude
+        seen = []
+
+        def bound(n, k, m, mu):
+            seen.append((n, k, m, mu))
+            return LeakageBound(bits=n + k + m + mu, method="synthetic")
+
+        m = 1e4 / gv_binary_rate(0.3)
+        opt = _coherent_family_qil(leakage.Family(1, 3, bound=bound), 2, 1e4,
+                                   m, 0.3, 0.01, IDEAL_NOISE, "beamsplitter")
+        assert seen == [(1e4, 2, m, opt.mu)]
+        assert opt.bound == LeakageBound(bits=1e4 + 2 + m + opt.mu,
+                                         method="synthetic")
+        assert opt.mu == solve_amplitude(2, int(round(m)), 0.3, 0.01)
 
 
 _FIG3 = CURVE_PRESETS["fig3"]
@@ -643,8 +707,8 @@ _DELTA_GRID = [float(d) for d in np.linspace(_DELTA_LO, 0.4999,
 
 def _design_args(k, n, delta, epsilon, noise):
     """The delta optimizer's design point at one distance."""
-    return ("ring", k, n, n / gv_binary_rate(delta), delta, epsilon, noise,
-            "beamsplitter")
+    return (leakage.FAMILIES["ring"], k, n, n / gv_binary_rate(delta), delta,
+            epsilon, noise, "beamsplitter")
 
 
 def _objective(args):
@@ -690,8 +754,8 @@ class TestObjectiveFloor:
         for measurement in ("beamsplitter", "optimal_lb"):
             args = _design_args(2, 1e4, 0.3, 0.01, noise)[:-1] + (measurement,)
             assert _qil_floor(*args) == -math.inf
-        args = ("lattice",) + _design_args(2, 1e4, 0.3, 0.01,
-                                           PAPER_EXP_NOISE)[1:]
+        args = (leakage.FAMILIES["lattice"],) + _design_args(
+            2, 1e4, 0.3, 0.01, PAPER_EXP_NOISE)[1:]
         assert _qil_floor(*args) == -math.inf
 
     @pytest.mark.parametrize("noise", [IDEAL_NOISE, NoiseModel(

@@ -26,6 +26,11 @@ class TestCoherentStates:
         state = coherent_fock(1.2 + 0.3j)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
 
+    def test_vacuum_is_exact(self):
+        state = coherent_fock(0.0, 4)
+        assert state.dtype == complex
+        assert state.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_cutoff_guard(self):
         with pytest.raises(ValueError):
             coherent_fock(5.0, cutoff=10)
